@@ -246,6 +246,23 @@ Status AnswerLogReader::Next(AnswerLogRecord* record, bool* eof) {
   }
 }
 
+Status ReadAnswerLog(const std::string& path, AnswerLogHeader* header,
+                     std::vector<AnswerLogRecord>* records) {
+  AnswerLogReader reader;
+  Status status = reader.Open(path);
+  if (!status.ok()) return status;
+  *header = reader.header();
+  records->clear();
+  AnswerLogRecord record;
+  bool eof = false;
+  while (true) {
+    status = reader.Next(&record, &eof);
+    if (!status.ok()) return status;
+    if (eof) return Status::Ok();
+    records->push_back(record);
+  }
+}
+
 Status WriteAnswerLog(const CategoricalDataset& dataset,
                       const std::string& path) {
   AnswerLogHeader header;

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "data/dataset.h"
 #include "data/validate.h"
@@ -112,6 +113,14 @@ class AnswerLogReader {
   int shard_count_ = 1;
   int64_t sequence_ = 0;
 };
+
+// Reads a whole log: the header plus every record in file order, each
+// with its global `sequence`. Malformed rows fail the read with the
+// reader's ParseError. The one loader of every tool that replays a log
+// from the start (crowdtruth_stream, crowdtruth_shard merge,
+// crowdtruth_matrix).
+util::Status ReadAnswerLog(const std::string& path, AnswerLogHeader* header,
+                           std::vector<AnswerLogRecord>* records);
 
 // Dumps every answer of a dataset as a log (task-major, preserving each
 // task's answer insertion order). Ids are the dense indices printed as

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <sstream>
 
 #include "util/logging.h"
@@ -448,6 +449,21 @@ MetricRegistry* ProcessMetrics() {
 
 void InstallProcessMetrics(MetricRegistry* registry) {
   g_process_metrics.store(registry, std::memory_order_release);
+}
+
+util::Status WriteMetricsFile(const std::string& path,
+                              MetricRegistry& registry) {
+  const bool json = path.size() >= 5 &&
+                    path.compare(path.size() - 5, 5, ".json") == 0;
+  if (json) return util::WriteJsonFile(path, registry.ToJson());
+  std::ofstream out(path);
+  if (!out) {
+    return util::Status::IoError("cannot open " + path + " for writing");
+  }
+  registry.WritePrometheus(out);
+  out.flush();
+  if (!out) return util::Status::IoError("failed writing " + path);
+  return util::Status::Ok();
 }
 
 }  // namespace crowdtruth::obs

@@ -4,7 +4,7 @@
 // observes the whole process from the outside — how many EM runs completed,
 // how many answers the streaming engine ingested, how much the validators
 // repaired, what the worker pool executed — and exposes the totals in
-// Prometheus text format (for a scraper hitting obs::MetricsHttpServer) or
+// Prometheus text format (for a scraper of the server's /metrics route) or
 // as JSON (via util/json_writer, for run reports and file dumps).
 //
 // Four instrument kinds, thread-safe throughout (the first three with
@@ -380,6 +380,11 @@ T& Family<T>::WithLabels(const std::vector<std::string>& values) {
 // swap only between runs, not while instrumented code is executing.
 MetricRegistry* ProcessMetrics();
 void InstallProcessMetrics(MetricRegistry* registry);
+
+// Dumps `registry` to `path` — JSON when the path ends in ".json",
+// Prometheus text otherwise. The --metrics_out writer of every CLI.
+util::Status WriteMetricsFile(const std::string& path,
+                              MetricRegistry& registry);
 
 }  // namespace crowdtruth::obs
 

@@ -1,6 +1,8 @@
 #include "server/server.h"
 
 #include <cstdlib>
+#include <string>
+#include <string_view>
 #include <utility>
 
 #include "obs/flight_recorder.h"
@@ -363,7 +365,15 @@ HttpResponse StreamingServer::Handle(const HttpRequest& request) {
   }
   util::Stopwatch stopwatch;
   HttpResponse response;
-  if (request.path == "/healthz") {
+  const std::string_view route_name(route);
+  const bool read_only = route_name == "healthz" || route_name == "metrics" ||
+                         route_name == "metrics_json" ||
+                         route_name == "debug_trace";
+  if (read_only && request.method != "GET") {
+    response = JsonErrorResponse(
+        405, "MethodNotAllowed",
+        request.method + " is not supported on " + request.path);
+  } else if (request.path == "/healthz") {
     response.body = "ok\n";
   } else if (request.path == "/metrics") {
     if (registry_ != nullptr) {

@@ -1,7 +1,7 @@
 // The multi-tenant streaming server: one epoll event loop hosting both
 // planes of the process —
 //
-//   observability (ported off the poll-based exporter):
+//   observability:
 //     GET  /metrics           Prometheus text exposition
 //     GET  /metrics.json      JSON exposition
 //     GET  /healthz           liveness ("ok")

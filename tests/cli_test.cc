@@ -1,7 +1,8 @@
-// Integration tests for the crowdtruth_infer command-line tool: drives the
-// real binary over CSV files via std::system.
+// Integration tests for the crowdtruth_infer and crowdtruth_stream
+// command-line tools: drives the real binaries over files via std::system.
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -10,9 +11,9 @@
 
 namespace {
 
-// The binary sits next to the test binaries' parent (build/tools/).
-std::string BinaryPath() {
-  return std::string(CROWDTRUTH_BUILD_DIR) + "/tools/crowdtruth_infer";
+// The binaries sit next to the test binaries' parent (build/tools/).
+std::string BinaryPath(const std::string& tool = "crowdtruth_infer") {
+  return std::string(CROWDTRUTH_BUILD_DIR) + "/tools/" + tool;
 }
 
 std::string TempPath(const std::string& name) {
@@ -31,9 +32,10 @@ std::string ReadFile(const std::string& path) {
   return buffer.str();
 }
 
-int RunTool(const std::string& args, const std::string& stdout_path) {
+int RunTool(const std::string& args, const std::string& stdout_path,
+            const std::string& tool = "crowdtruth_infer") {
   const std::string command =
-      BinaryPath() + " " + args + " > " + stdout_path + " 2>&1";
+      BinaryPath(tool) + " " + args + " > " + stdout_path + " 2>&1";
   return std::system(command.c_str());
 }
 
@@ -103,6 +105,58 @@ TEST(CliTest, WrongDomainMethodFails) {
   EXPECT_NE(RunTool("--answers=" + answers + " --method=Mean", log), 0);
   std::remove(answers.c_str());
   std::remove(log.c_str());
+}
+
+// Sharded replay with periodic checkpoints, then a directory resume (the
+// newest checkpoint_*.json in it): the truth CSV must equal the
+// single-engine replay byte for byte.
+TEST(CliTest, StreamShardedResumeFromDirectoryMatchesSingleEngine) {
+  const std::string log = TempPath("cli_stream_answers.log");
+  std::string text = "crowdtruth_log,v1,categorical,3\n";
+  unsigned state = 11;
+  for (int t = 0; t < 40; ++t) {
+    for (int w = 0; w < 7; ++w) {
+      state = state * 1103515245u + 12345u;
+      if ((state >> 16) % 5 == 0) continue;
+      text += "t" + std::to_string(t) + ",w" + std::to_string(w) + "," +
+              std::to_string((state >> 8) % 3) + "\n";
+    }
+  }
+  WriteFile(log, text);
+  const std::string dir = TempPath("cli_stream_ckpt");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string single = TempPath("cli_stream_single.csv");
+  const std::string resumed = TempPath("cli_stream_resumed.csv");
+  const std::string out = TempPath("cli_stream_out.txt");
+  const std::string common = "--log=" + log + " --method=ZC";
+
+  ASSERT_EQ(RunTool(common + " --output=" + single, out, "crowdtruth_stream"),
+            0)
+      << ReadFile(out);
+  ASSERT_EQ(RunTool(common + " --shards=4 --resync_interval=50 "
+                             "--checkpoint_every=60 --checkpoint_dir=" +
+                        dir,
+                    out, "crowdtruth_stream"),
+            0)
+      << ReadFile(out);
+  ASSERT_FALSE(std::filesystem::is_empty(dir));
+  ASSERT_EQ(RunTool(common + " --shards=4 --resync_interval=50 "
+                             "--resume_from=" +
+                        dir + " --output=" + resumed,
+                    out, "crowdtruth_stream"),
+            0)
+      << ReadFile(out);
+  EXPECT_NE(ReadFile(out).find("restored " + dir + "/checkpoint_"),
+            std::string::npos)
+      << ReadFile(out);
+  EXPECT_FALSE(ReadFile(single).empty());
+  EXPECT_EQ(ReadFile(resumed), ReadFile(single));
+  std::filesystem::remove_all(dir);
+  std::remove(log.c_str());
+  std::remove(single.c_str());
+  std::remove(resumed.c_str());
+  std::remove(out.c_str());
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "scenario/workload.h"
 #include "shard/checkpoint.h"
 #include "shard/coordinator.h"
+#include "shard/replay.h"
 #include "util/json_writer.h"
 #include "util/status.h"
 
@@ -424,20 +425,26 @@ TEST(BuggifyShardTest, SameSeedSameFaultLogSameTruthAtShardCounts1And4) {
   }
 }
 
-// File-level recovery: checkpoints written through WriteJsonFileAtomic
-// while the checkpoint_write site may fail the first rename, then a restart
-// that restores whichever checkpoint FindLatestCheckpoint hands back (the
-// snapshot_restore site may deliberately pick the older one) and replays
-// forward. Whatever fires, the truth must match the fault-free run.
+// File-level recovery through shard/replay.h: checkpoints
+// written on its cadence while the checkpoint_write site may fail the
+// first rename, then a directory resume that restores whichever checkpoint
+// FindLatestCheckpoint hands back (the snapshot_restore site may
+// deliberately pick the older one) and replays forward. Whatever fires,
+// the truth must match the fault-free run.
 TEST(BuggifyShardTest, RecoveryFromDiskCheckpointsSurvivesFaults) {
   auto generator = MakeGenerator(SmallSpec("drifting_quality", 19));
   ASSERT_NE(generator, nullptr);
-  const std::vector<ScenarioEvent> events = Drain(*generator);
-  std::vector<const ScenarioEvent*> answers;
-  for (const ScenarioEvent& e : events) {
-    if (e.kind == ScenarioEvent::Kind::kAnswer) answers.push_back(&e);
+  std::vector<data::AnswerLogRecord> log;
+  for (const ScenarioEvent& e : Drain(*generator)) {
+    if (e.kind != ScenarioEvent::Kind::kAnswer) continue;
+    data::AnswerLogRecord record;
+    record.task = e.task;
+    record.worker = e.worker;
+    record.label = e.label;
+    record.sequence = static_cast<int64_t>(log.size());
+    log.push_back(std::move(record));
   }
-  const size_t n = answers.size();
+  const int64_t n = static_cast<int64_t>(log.size());
 
   shard::CoordinatorConfig config;
   config.shard_count = 4;
@@ -449,9 +456,10 @@ TEST(BuggifyShardTest, RecoveryFromDiskCheckpointsSurvivesFaults) {
   std::unique_ptr<shard::CategoricalShardCoordinator> reference;
   ASSERT_TRUE(
       shard::CategoricalShardCoordinator::Create(config, &reference).ok());
-  for (const ScenarioEvent* a : answers) {
-    ASSERT_TRUE(reference->Observe(a->task, a->worker, a->label).ok());
-  }
+  shard::ReplayCounts counts;
+  ASSERT_TRUE(shard::ReplayRange(log, 0, n, shard::ReplayOptions{},
+                                 reference.get(), &counts)
+                  .ok());
   core::CategoricalResult expected;
   ASSERT_TRUE(reference->GlobalResync(&expected).ok());
 
@@ -466,53 +474,35 @@ TEST(BuggifyShardTest, RecoveryFromDiskCheckpointsSurvivesFaults) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 
-  // Run to two cut points, persisting a checkpoint at each.
-  const size_t cut_early = n / 3;
-  const size_t cut_late = 2 * n / 3;
+  // Run to the second of two checkpoints, then "crash".
+  const int64_t cut_early = n / 3;
+  const int64_t cut_late = 2 * cut_early;
+  shard::ReplayOptions checkpointing;
+  checkpointing.checkpoint_every = cut_early;
+  checkpointing.checkpoint_dir = dir;
   std::unique_ptr<shard::CategoricalShardCoordinator> writer;
   ASSERT_TRUE(
       shard::CategoricalShardCoordinator::Create(config, &writer).ok());
-  for (size_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(
-        writer->Observe(answers[i]->task, answers[i]->worker, answers[i]->label)
-            .ok());
-    if (i + 1 == cut_early || i + 1 == cut_late) {
-      const std::string path =
-          dir + "/" +
-          shard::CheckpointFileName("run", writer->next_sequence());
-      ASSERT_TRUE(shard::WriteJsonFileAtomic(path, writer->MakeCheckpoint())
-                      .ok());
-      // Atomicity held even if the first rename was failed on purpose.
-      EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-    }
+  ASSERT_TRUE(shard::ReplayRange(log, 0, cut_late, checkpointing,
+                                 writer.get(), &counts)
+                  .ok());
+  writer.reset();
+  // Atomicity held even if the first rename was failed on purpose.
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
   }
-  writer.reset();  // the "crash"
 
-  // Restart: restore whichever checkpoint the (possibly faulty) lookup
-  // returns, replay its consumed prefix, stream the rest.
-  std::string latest;
-  int64_t latest_seq = 0;
-  ASSERT_TRUE(
-      shard::FindLatestCheckpoint(dir, "run", &latest, &latest_seq).ok());
-  util::JsonValue doc;
-  ASSERT_TRUE(shard::ReadJsonFile(latest, &doc).ok());
+  // Restart: resume from the directory, stream the rest.
   std::unique_ptr<shard::CategoricalShardCoordinator> resumed;
   ASSERT_TRUE(
       shard::CategoricalShardCoordinator::Create(config, &resumed).ok());
-  ASSERT_TRUE(resumed->Restore(doc).ok());
-  const size_t cut = static_cast<size_t>(resumed->next_sequence());
-  ASSERT_LE(cut, n);
-  for (size_t i = 0; i < cut; ++i) {
-    (void)resumed->ReplayRouting(answers[i]->task, answers[i]->worker,
-                                 answers[i]->label);
-  }
-  ASSERT_TRUE(resumed->FinishReplay().ok());
-  for (size_t i = cut; i < n; ++i) {
-    ASSERT_TRUE(
-        resumed->Observe(answers[i]->task, answers[i]->worker,
-                         answers[i]->label)
-            .ok());
-  }
+  std::string restored;
+  ASSERT_TRUE(shard::ResumeFrom(dir, log, resumed.get(), &restored).ok());
+  ASSERT_FALSE(restored.empty());
+  const int64_t latest_seq = resumed->next_sequence();
+  ASSERT_TRUE(shard::ReplayRange(log, latest_seq, n, shard::ReplayOptions{},
+                                 resumed.get(), &counts)
+                  .ok());
   core::CategoricalResult recovered;
   ASSERT_TRUE(resumed->GlobalResync(&recovered).ok());
   DisableBuggify();
@@ -521,9 +511,9 @@ TEST(BuggifyShardTest, RecoveryFromDiskCheckpointsSurvivesFaults) {
   EXPECT_EQ(recovered.worker_quality, expected.worker_quality);
   if (kBuggifyCompiledIn) {
     // With fire=1 the lookup must have preferred the older checkpoint.
-    EXPECT_EQ(latest_seq, static_cast<int64_t>(cut_early));
+    EXPECT_EQ(latest_seq, cut_early);
   } else {
-    EXPECT_EQ(latest_seq, static_cast<int64_t>(cut_late));
+    EXPECT_EQ(latest_seq, cut_late);
   }
   std::filesystem::remove_all(dir);
 }

@@ -1,7 +1,13 @@
 // Tests for the multi-tenant streaming server core (src/server/server.h),
-// driven through the Handle() seam — no sockets, so every test is
+// driven through the Handle() seam — no sockets, so the tests are
 // deterministic and sanitizer-friendly. The socket path is covered by
-// event_loop_test.cc and the CI e2e script.
+// event_loop_test.cc, the one loopback scrape test at the end, and the CI
+// e2e script.
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -383,6 +389,72 @@ TEST_F(ServerTest, TenantLabelCardinalityCapCollapsesToOther) {
   EXPECT_EQ(text.find("tenant=\"three\""), std::string::npos);
   EXPECT_EQ(text.find("tenant=\"four\""), std::string::npos);
   EXPECT_EQ(registry_.LabelCardinality("tenant"), 2);
+}
+
+// Sends `request` to 127.0.0.1:`port` and reads the close-terminated
+// response, pumping the server's loop in between (single-threaded, the
+// way crowdtruth_stream --metrics_port pumps it from its replay loop).
+std::string ScrapeRoundTrip(server::StreamingServer* srv,
+                            const std::string& request) {
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(srv->port()));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  EXPECT_EQ(send(fd, request.data(), request.size(), 0),
+            static_cast<ssize_t>(request.size()));
+  std::string response;
+  char buffer[4096];
+  for (int spins = 0; spins < 1000; ++spins) {
+    srv->RunOnce(1);
+    const ssize_t n = recv(fd, buffer, sizeof(buffer), MSG_DONTWAIT);
+    if (n > 0) {
+      response.append(buffer, static_cast<size_t>(n));
+    } else if (n == 0) {
+      break;  // Server closed after the response: message complete.
+    }
+  }
+  close(fd);
+  return response;
+}
+
+// The metrics-only server crowdtruth_stream --metrics_port runs: controller
+// off, ephemeral port, scraped over a real socket.
+TEST_F(ServerTest, MetricsOnlyServerAnswersScrapesOverLoopback) {
+  registry_.AddCounter("test_http_total", "Help.").Increment(5);
+  server::ServerConfig config;
+  config.controller_enabled = false;
+  server::StreamingServer srv(config, &registry_);
+  ASSERT_TRUE(srv.Start().ok());
+  ASSERT_GT(srv.port(), 0);
+
+  const std::string metrics =
+      ScrapeRoundTrip(&srv, "GET /metrics HTTP/1.0\r\n\r\n");
+  EXPECT_NE(metrics.find("200 OK"), std::string::npos);
+  EXPECT_NE(metrics.find("text/plain; version=0.0.4"), std::string::npos);
+  EXPECT_NE(metrics.find("test_http_total 5\n"), std::string::npos);
+
+  const std::string health =
+      ScrapeRoundTrip(&srv, "GET /healthz HTTP/1.0\r\n\r\n");
+  EXPECT_NE(health.find("200 OK"), std::string::npos);
+  EXPECT_NE(health.find("ok"), std::string::npos);
+
+  const std::string json =
+      ScrapeRoundTrip(&srv, "GET /metrics.json HTTP/1.0\r\n\r\n");
+  EXPECT_NE(json.find("200 OK"), std::string::npos);
+  EXPECT_NE(json.find("crowdtruth_metrics"), std::string::npos);
+
+  const std::string missing =
+      ScrapeRoundTrip(&srv, "GET /nope HTTP/1.0\r\n\r\n");
+  EXPECT_NE(missing.find("404"), std::string::npos);
+
+  const std::string post =
+      ScrapeRoundTrip(&srv, "POST /metrics HTTP/1.0\r\n\r\n");
+  EXPECT_NE(post.find("405"), std::string::npos);
+  srv.Stop();
 }
 
 TEST(ValidTenantNameTest, AcceptsSafeRejectsHostile) {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
@@ -16,6 +17,7 @@
 #include "data/answer_log.h"
 #include "shard/checkpoint.h"
 #include "shard/coordinator.h"
+#include "shard/replay.h"
 #include "streaming/engine.h"
 #include "streaming/registry.h"
 #include "streaming/worker_summary.h"
@@ -463,6 +465,169 @@ TEST(CheckpointTest, AtomicWriteLeavesNoTempFileBehind) {
   // An unwritable parent fails before anything is staged.
   EXPECT_FALSE(WriteJsonFileAtomic(dir + "/no/such/dir/x.json", doc).ok());
   ASSERT_EQ(0, system(("rm -rf " + dir).c_str()));
+}
+
+// --- Sharded replay over a whole log (shard/replay.h) ---------------------
+
+std::vector<data::AnswerLogRecord> ToLog(
+    const std::vector<StreamAnswer>& stream) {
+  std::vector<data::AnswerLogRecord> log;
+  for (const StreamAnswer& a : stream) {
+    data::AnswerLogRecord record;
+    record.task = a.task;
+    record.worker = a.worker;
+    record.label = a.label;
+    record.sequence = static_cast<int64_t>(log.size());
+    log.push_back(std::move(record));
+  }
+  return log;
+}
+
+std::string FreshDir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "/" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+// Writes checkpoints every `every` records over the whole log and returns
+// the run's global solve.
+core::CategoricalResult CheckpointedRun(
+    const std::vector<data::AnswerLogRecord>& log, int64_t every,
+    const std::string& dir) {
+  std::unique_ptr<CategoricalShardCoordinator> coordinator;
+  EXPECT_TRUE(CategoricalShardCoordinator::Create(MakeConfig("ZC", 4, 29),
+                                                  &coordinator)
+                  .ok());
+  ReplayOptions options;
+  options.checkpoint_every = every;
+  options.checkpoint_dir = dir;
+  ReplayCounts counts;
+  EXPECT_TRUE(ReplayRange(log, 0, static_cast<int64_t>(log.size()), options,
+                          coordinator.get(), &counts)
+                  .ok());
+  EXPECT_EQ(counts.replayed, static_cast<int64_t>(log.size()));
+  core::CategoricalResult result;
+  EXPECT_TRUE(coordinator->GlobalResync(&result).ok());
+  return result;
+}
+
+TEST(ShardReplayTest, ResumeFromEveryCheckpointMatchesUninterruptedRun) {
+  const std::vector<data::AnswerLogRecord> log = ToLog(MakeStream(50, 5, 31));
+  const std::string dir = FreshDir("replay_every_ckpt");
+  const core::CategoricalResult expected = CheckpointedRun(log, 40, dir);
+
+  int resumed_runs = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    util::JsonValue doc;
+    ASSERT_TRUE(ReadJsonFile(entry.path().string(), &doc).ok());
+    std::unique_ptr<CategoricalShardCoordinator> coordinator;
+    ASSERT_TRUE(CategoricalShardCoordinator::Create(MakeConfig("ZC", 4, 29),
+                                                    &coordinator)
+                    .ok());
+    ASSERT_TRUE(Resume(doc, log, coordinator.get()).ok()) << entry.path();
+    ASSERT_GT(coordinator->next_sequence(), 0);
+    ReplayCounts counts;
+    ASSERT_TRUE(ReplayRange(log, coordinator->next_sequence(),
+                            static_cast<int64_t>(log.size()), ReplayOptions{},
+                            coordinator.get(), &counts)
+                    .ok());
+    core::CategoricalResult resumed;
+    ASSERT_TRUE(coordinator->GlobalResync(&resumed).ok());
+    EXPECT_EQ(resumed.labels, expected.labels) << entry.path();
+    EXPECT_EQ(resumed.worker_quality, expected.worker_quality)
+        << entry.path();
+    ++resumed_runs;
+  }
+  EXPECT_EQ(resumed_runs, static_cast<int>(log.size()) / 40);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ShardReplayTest, CheckpointPastEndOfLogIsTypedError) {
+  const std::vector<data::AnswerLogRecord> log = ToLog(MakeStream(30, 5, 7));
+  std::unique_ptr<CategoricalShardCoordinator> writer;
+  ASSERT_TRUE(CategoricalShardCoordinator::Create(MakeConfig("ZC", 2, 0),
+                                                  &writer)
+                  .ok());
+  ReplayCounts counts;
+  ASSERT_TRUE(ReplayRange(log, 0, static_cast<int64_t>(log.size()),
+                          ReplayOptions{}, writer.get(), &counts)
+                  .ok());
+  const util::JsonValue checkpoint = writer->MakeCheckpoint();
+
+  // The same checkpoint against a log holding only half the records.
+  const std::vector<data::AnswerLogRecord> truncated(
+      log.begin(), log.begin() + static_cast<int64_t>(log.size()) / 2);
+  std::unique_ptr<CategoricalShardCoordinator> coordinator;
+  ASSERT_TRUE(CategoricalShardCoordinator::Create(MakeConfig("ZC", 2, 0),
+                                                  &coordinator)
+                  .ok());
+  const util::Status status = Resume(checkpoint, truncated, coordinator.get());
+  EXPECT_EQ(status.code(), util::StatusCode::kValidationError);
+  EXPECT_NE(status.message().find("holds only"), std::string::npos)
+      << status.message();
+  // Rejected before the coordinator was touched.
+  EXPECT_EQ(coordinator->next_sequence(), 0);
+}
+
+TEST(ShardReplayTest, DirectoryResumePicksNewestAndEmptyStartsFresh) {
+  const std::vector<data::AnswerLogRecord> log = ToLog(MakeStream(40, 5, 13));
+  const int64_t n = static_cast<int64_t>(log.size());
+  const std::string empty = FreshDir("replay_dir_empty");
+  std::unique_ptr<CategoricalShardCoordinator> fresh;
+  ASSERT_TRUE(CategoricalShardCoordinator::Create(MakeConfig("ZC", 4, 29),
+                                                  &fresh)
+                  .ok());
+  std::string restored = "unset";
+  ASSERT_TRUE(ResumeFrom(empty, log, fresh.get(), &restored).ok());
+  EXPECT_TRUE(restored.empty());
+  EXPECT_EQ(fresh->next_sequence(), 0);
+
+  const std::string dir = FreshDir("replay_dir_newest");
+  (void)CheckpointedRun(log, 25, dir);
+  const int64_t newest = n / 25 * 25;
+  std::unique_ptr<CategoricalShardCoordinator> coordinator;
+  ASSERT_TRUE(CategoricalShardCoordinator::Create(MakeConfig("ZC", 4, 29),
+                                                  &coordinator)
+                  .ok());
+  ASSERT_TRUE(ResumeFrom(dir, log, coordinator.get(), &restored).ok());
+  EXPECT_EQ(restored,
+            dir + "/" + CheckpointFileName(kReplayCheckpointPrefix, newest));
+  EXPECT_EQ(coordinator->next_sequence(), newest);
+
+  // A path that is neither a checkpoint nor a directory is an error.
+  EXPECT_FALSE(
+      ResumeFrom(dir + "/missing.json", log, coordinator.get(), &restored)
+          .ok());
+  std::filesystem::remove_all(empty);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ShardReplayTest, DuplicatesSkipOtherRejectsFollowPolicy) {
+  std::vector<data::AnswerLogRecord> log =
+      ToLog({{"t0", "w0", 1}, {"t0", "w0", 2}, {"t1", "w0", 9},
+             {"t1", "w1", 0}});
+  const auto replay = [&log](data::BadRecordPolicy policy,
+                             ReplayCounts* counts) {
+    std::unique_ptr<CategoricalShardCoordinator> coordinator;
+    EXPECT_TRUE(CategoricalShardCoordinator::Create(MakeConfig("ZC", 2, 0),
+                                                    &coordinator)
+                    .ok());
+    ReplayOptions options;
+    options.policy = policy;
+    return ReplayRange(log, 0, static_cast<int64_t>(log.size()), options,
+                       coordinator.get(), counts);
+  };
+  // Reject: the duplicate is skipped, the out-of-range label fails.
+  ReplayCounts rejected;
+  EXPECT_FALSE(replay(data::BadRecordPolicy::kReject, &rejected).ok());
+  EXPECT_EQ(rejected.replayed, 1);
+  EXPECT_EQ(rejected.skipped, 1);
+  // A repair policy skips both and keeps going.
+  ReplayCounts repaired;
+  EXPECT_TRUE(replay(data::BadRecordPolicy::kDropRow, &repaired).ok());
+  EXPECT_EQ(repaired.replayed, 2);
+  EXPECT_EQ(repaired.skipped, 2);
 }
 
 // --- WorkerSummary -----------------------------------------------------

@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -51,6 +50,7 @@
 #include "scenario/workload.h"
 #include "shard/checkpoint.h"
 #include "shard/coordinator.h"
+#include "shard/replay.h"
 #include "util/csv.h"
 #include "util/flags.h"
 #include "util/json_writer.h"
@@ -113,26 +113,7 @@ std::string HashHex(uint64_t hash) {
   return out;
 }
 
-struct LoadedLog {
-  data::AnswerLogHeader header;
-  std::vector<data::AnswerLogRecord> records;
-};
-
-Status LoadLog(const std::string& path, LoadedLog* out) {
-  data::AnswerLogReader reader;
-  Status status = reader.Open(path);
-  if (!status.ok()) return status;
-  out->header = reader.header();
-  data::AnswerLogRecord record;
-  bool eof = false;
-  while (true) {
-    status = reader.Next(&record, &eof);
-    if (!status.ok()) return status;
-    if (eof) break;
-    out->records.push_back(record);
-  }
-  return Status::Ok();
-}
+using Log = std::vector<data::AnswerLogRecord>;
 
 struct CellResult {
   int64_t answers = 0;
@@ -158,14 +139,12 @@ Status MakeCoordinator(const std::string& method, int num_choices,
   return Coordinator::Create(config, coordinator);
 }
 
-Status ObserveRange(Coordinator& coordinator, const LoadedLog& log,
-                    int64_t begin, int64_t end, int64_t* skipped) {
-  for (int64_t i = begin; i < end; ++i) {
-    const Status status = coordinator.Observe(
-        log.records[i].task, log.records[i].worker, log.records[i].label);
-    if (!status.ok()) ++*skipped;
-  }
-  return Status::Ok();
+// Every policy skips bad records instead of failing the cell, so all four
+// consume exactly the same answers.
+shard::ReplayOptions SkippingReplay() {
+  shard::ReplayOptions options;
+  options.policy = data::BadRecordPolicy::kDropRow;
+  return options;
 }
 
 // Fingerprint + accuracy from the coordinator's global solve. The
@@ -196,16 +175,17 @@ void Summarize(const Coordinator& coordinator,
 
 Status RunDirect(const std::string& method, int num_choices,
                  int shard_count, int64_t barrier_interval, uint64_t seed,
-                 const LoadedLog& log, const std::map<std::string, int>& truth,
+                 const Log& log, const std::map<std::string, int>& truth,
                  CellResult* cell) {
   std::unique_ptr<Coordinator> coordinator;
   Status status = MakeCoordinator(method, num_choices, shard_count,
                                   barrier_interval, seed, &coordinator);
   if (!status.ok()) return status;
-  status = ObserveRange(*coordinator, log, 0,
-                        static_cast<int64_t>(log.records.size()),
-                        &cell->skipped);
+  shard::ReplayCounts counts;
+  status = shard::ReplayRange(log, 0, static_cast<int64_t>(log.size()),
+                              SkippingReplay(), coordinator.get(), &counts);
   if (!status.ok()) return status;
+  cell->skipped = counts.skipped;
   Coordinator::BatchResult global;
   status = coordinator->GlobalResync(&global);
   if (!status.ok()) return status;
@@ -222,7 +202,7 @@ Status RunDirect(const std::string& method, int num_choices,
 // this path.
 Status RunCrashRestart(const std::string& method, int num_choices,
                        int64_t barrier_interval, uint64_t seed,
-                       const LoadedLog& log,
+                       const Log& log,
                        const std::map<std::string, int>& truth,
                        const std::string& checkpoint_dir, CellResult* cell) {
   std::error_code fs_error;
@@ -232,53 +212,37 @@ Status RunCrashRestart(const std::string& method, int num_choices,
     return Status::IoError("cannot create " + checkpoint_dir + ": " +
                            fs_error.message());
   }
-  const int64_t total = static_cast<int64_t>(log.records.size());
+  const int64_t total = static_cast<int64_t>(log.size());
   const int64_t mid = total / 2;
-  const int64_t checkpoint_every = std::max<int64_t>(1, mid / 2);
+  shard::ReplayOptions before_crash = SkippingReplay();
+  before_crash.checkpoint_every = std::max<int64_t>(1, mid / 2);
+  before_crash.checkpoint_dir = checkpoint_dir;
 
   std::unique_ptr<Coordinator> coordinator;
   Status status = MakeCoordinator(method, num_choices, /*shard_count=*/4,
                                   barrier_interval, seed, &coordinator);
   if (!status.ok()) return status;
-  int64_t skipped_before_crash = 0;
-  for (int64_t i = 0; i < mid; ++i) {
-    status = coordinator->Observe(log.records[i].task, log.records[i].worker,
-                                  log.records[i].label);
-    if (!status.ok()) ++skipped_before_crash;
-    if (coordinator->next_sequence() % checkpoint_every == 0) {
-      const std::string path =
-          checkpoint_dir + "/" +
-          shard::CheckpointFileName("checkpoint",
-                                    coordinator->next_sequence());
-      status = shard::WriteJsonFileAtomic(path, coordinator->MakeCheckpoint());
-      if (!status.ok()) return status;
-    }
-  }
+  shard::ReplayCounts discarded;
+  status = shard::ReplayRange(log, 0, mid, before_crash, coordinator.get(),
+                              &discarded);
+  if (!status.ok()) return status;
   coordinator.reset();  // the crash: all in-memory state is gone
 
-  std::string latest;
-  int64_t restored_sequence = 0;
-  status = shard::FindLatestCheckpoint(checkpoint_dir, "checkpoint", &latest,
-                                       &restored_sequence);
-  if (!status.ok()) return status;
-  JsonValue doc;
-  status = shard::ReadJsonFile(latest, &doc);
-  if (!status.ok()) return status;
   status = MakeCoordinator(method, num_choices, /*shard_count=*/4,
                            barrier_interval, seed, &coordinator);
   if (!status.ok()) return status;
-  status = coordinator->Restore(doc);
+  std::string restored;
+  status = shard::ResumeFrom(checkpoint_dir, log, coordinator.get(),
+                             &restored);
   if (!status.ok()) return status;
-  const int64_t resumed = coordinator->next_sequence();
-  for (int64_t i = 0; i < resumed; ++i) {
-    (void)coordinator->ReplayRouting(log.records[i].task,
-                                     log.records[i].worker,
-                                     log.records[i].label);
+  if (restored.empty()) {
+    return Status::NotFound("no checkpoint in " + checkpoint_dir);
   }
-  status = coordinator->FinishReplay();
+  shard::ReplayCounts counts;
+  status = shard::ReplayRange(log, coordinator->next_sequence(), total,
+                              SkippingReplay(), coordinator.get(), &counts);
   if (!status.ok()) return status;
-  status = ObserveRange(*coordinator, log, resumed, total, &cell->skipped);
-  if (!status.ok()) return status;
+  cell->skipped = counts.skipped;
   Coordinator::BatchResult global;
   status = coordinator->GlobalResync(&global);
   if (!status.ok()) return status;
@@ -498,8 +462,9 @@ int main(int argc, char** argv) {
       std::cerr << "error: " << status.ToString() << '\n';
       return 1;
     }
-    LoadedLog log;
-    status = LoadLog(log_path, &log);
+    data::AnswerLogHeader header;
+    Log log;
+    status = data::ReadAnswerLog(log_path, &header, &log);
     if (!status.ok()) {
       std::cerr << "error: " << status.ToString() << '\n';
       return 1;
@@ -598,19 +563,8 @@ int main(int argc, char** argv) {
   int code = consistent ? 0 : 1;
   if (!metrics_out.empty()) {
     crowdtruth::obs::InstallProcessMetrics(nullptr);
-    Status dump;
-    const bool json =
-        metrics_out.size() >= 5 &&
-        metrics_out.compare(metrics_out.size() - 5, 5, ".json") == 0;
-    if (json) {
-      dump = crowdtruth::util::WriteJsonFile(metrics_out, registry.ToJson());
-    } else {
-      std::ofstream out_stream(metrics_out);
-      if (out_stream) registry.WritePrometheus(out_stream);
-      if (!out_stream.good()) {
-        dump = Status::IoError("cannot write " + metrics_out);
-      }
-    }
+    const Status dump =
+        crowdtruth::obs::WriteMetricsFile(metrics_out, registry);
     if (!dump.ok()) {
       std::cerr << "error: " << dump.ToString() << '\n';
       if (code == 0) code = 1;

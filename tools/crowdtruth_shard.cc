@@ -1,13 +1,6 @@
 // crowdtruth_shard: partitioned streaming inference over an answer log
-// (src/shard/), as one process or as N cooperating worker processes.
-//
-// Drive mode (default) runs every shard in this process:
-//
-//   crowdtruth_shard --log=answers.log --shards=4 [--method=ZC]
-//       [--num_choices=0] [--barrier_interval=1000]
-//       [--checkpoint_every=0 --checkpoint_dir=DIR] [--resume]
-//       [--resume_from=FILE] [--output=truth.csv]
-//       [--workers_output=workers.csv] [--json_out=report.json]
+// (src/shard/) as N cooperating worker processes. (Every shard in one
+// process is `crowdtruth_stream --shards=N`.) --mode is required.
 //
 // Worker mode runs ONE shard over its hash-partitioned slice of the log
 // and all-reduces worker summaries with its peers through files in a
@@ -32,15 +25,15 @@
 //       --workdir=DIR --output=truth.csv [--workers_output=workers.csv]
 //       [--json_out=report.json]
 //
-// Event semantics shared by every mode: a barrier due at global sequence
-// position E runs after all records with sequence < E are consumed, and a
-// checkpoint due at E is taken after a coinciding barrier — so equal
-// positions describe identical states no matter how the log is sharded.
+// Event semantics shared with the in-process coordinator: a barrier due at
+// global sequence position E runs after all records with sequence < E are
+// consumed, and a checkpoint due at E is taken after a coinciding barrier
+// — so equal positions describe identical states no matter how the log is
+// sharded.
 #include <cmath>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -78,37 +71,17 @@ using crowdtruth::util::Status;
 
 constexpr int kCrashExitCode = 7;
 
-struct LoadedLog {
-  data::AnswerLogHeader header;
-  std::vector<data::AnswerLogRecord> records;  // every row, with .sequence
-};
-
-Status LoadLog(const std::string& path, LoadedLog* out) {
-  data::AnswerLogReader reader;
-  Status status = reader.Open(path);
-  if (!status.ok()) return status;
-  out->header = reader.header();
-  data::AnswerLogRecord record;
-  bool eof = false;
-  while (true) {
-    status = reader.Next(&record, &eof);
-    if (!status.ok()) return status;
-    if (eof) break;
-    out->records.push_back(record);
-  }
-  return Status::Ok();
-}
-
 // flag > log header > max seen label + 1 (and at least 2) — the same
 // resolution crowdtruth_stream uses, so the two tools agree on the label
 // space of a given log.
-int ResolveNumChoices(const Flags& flags, const LoadedLog& log) {
+int ResolveNumChoices(const Flags& flags, const data::AnswerLogHeader& header,
+                      const std::vector<data::AnswerLogRecord>& records) {
   int num_choices = flags.GetInt("num_choices") > 0
                         ? flags.GetInt("num_choices")
-                        : log.header.num_choices;
+                        : header.num_choices;
   if (num_choices <= 0) {
     int max_label = 1;
-    for (const data::AnswerLogRecord& record : log.records) {
+    for (const data::AnswerLogRecord& record : records) {
       if (record.label > max_label) max_label = record.label;
     }
     num_choices = max_label + 1;
@@ -142,13 +115,11 @@ int FailStatus(const Status& status) {
              : 1;
 }
 
-// Emits the truth/worker CSVs and the JSON report shared by drive and
-// merge mode. The estimate rows come straight from the coordinator's
-// global solve, so they are byte-identical to crowdtruth_stream's output
-// over the same log.
+// Emits merge mode's truth/worker CSVs and JSON report. The estimate rows
+// come straight from the coordinator's global solve, so they are
+// byte-identical to crowdtruth_stream's output over the same log.
 template <typename Coordinator>
-int FinishGlobal(const Flags& flags, const std::string& mode,
-                 Coordinator& coordinator,
+int FinishGlobal(const Flags& flags, Coordinator& coordinator,
                  const typename Coordinator::BatchResult& global,
                  int64_t skipped) {
   constexpr bool kCategorical = std::is_same_v<
@@ -187,7 +158,7 @@ int FinishGlobal(const Flags& flags, const std::string& mode,
   if (!flags.Get("json_out").empty()) {
     JsonValue report = JsonValue::Object();
     report.Set("tool", "crowdtruth_shard");
-    report.Set("mode", mode);
+    report.Set("mode", "merge");
     report.Set("type", kCategorical ? "categorical" : "numeric");
     report.Set("method", coordinator.config().method);
     report.Set("shards", coordinator.shard_count());
@@ -204,126 +175,6 @@ int FinishGlobal(const Flags& flags, const std::string& mode,
     std::cout << "wrote run summary to " << flags.Get("json_out") << '\n';
   }
   return 0;
-}
-
-// --- Drive mode: every shard in this process ------------------------------
-
-template <typename Coordinator>
-int RunDrive(const Flags& flags, const LoadedLog& log, int num_choices) {
-  constexpr bool kCategorical = std::is_same_v<
-      Coordinator, shard::CategoricalShardCoordinator>;
-  shard::CoordinatorConfig config;
-  config.shard_count = flags.GetInt("shards");
-  config.method = flags.Get("method").empty()
-                      ? (kCategorical ? "ZC" : "Mean")
-                      : flags.Get("method");
-  config.num_choices = num_choices;
-  config.options = MakeStreamingOptions(flags);
-  config.barrier_interval = flags.GetInt("barrier_interval");
-  std::unique_ptr<Coordinator> coordinator;
-  Status status = Coordinator::Create(config, &coordinator);
-  if (!status.ok()) return FailStatus(status);
-
-  const int checkpoint_every = flags.GetInt("checkpoint_every");
-  const std::string checkpoint_dir = flags.Get("checkpoint_dir");
-  if (checkpoint_every > 0 && checkpoint_dir.empty()) {
-    std::cerr << "error: --checkpoint_every requires --checkpoint_dir\n";
-    return 2;
-  }
-
-  const auto payload = [](const data::AnswerLogRecord& record) {
-    if constexpr (kCategorical) {
-      return record.label;
-    } else {
-      return record.value;
-    }
-  };
-
-  std::string resume_from = flags.Get("resume_from");
-  if (resume_from.empty() && flags.GetBool("resume")) {
-    if (checkpoint_dir.empty()) {
-      std::cerr << "error: --resume needs --checkpoint_dir (or use "
-                   "--resume_from)\n";
-      return 2;
-    }
-    int64_t sequence = 0;
-    status = shard::FindLatestCheckpoint(checkpoint_dir, "checkpoint",
-                                         &resume_from, &sequence);
-    if (status.code() == crowdtruth::util::StatusCode::kNotFound) {
-      std::cout << "no checkpoint in " << checkpoint_dir
-                << ", starting from the beginning\n";
-      resume_from.clear();
-    } else if (!status.ok()) {
-      return FailStatus(status);
-    }
-  }
-  int64_t start = 0;
-  if (!resume_from.empty()) {
-    JsonValue doc;
-    status = shard::ReadJsonFile(resume_from, &doc);
-    if (!status.ok()) return FailStatus(status);
-    status = coordinator->Restore(doc);
-    if (!status.ok()) {
-      std::cerr << "error: " << resume_from << ": " << status.ToString()
-                << '\n';
-      return 1;
-    }
-    start = coordinator->next_sequence();
-    if (start > static_cast<int64_t>(log.records.size())) {
-      std::cerr << "error: checkpoint consumed " << start
-                << " records but the log holds only " << log.records.size()
-                << '\n';
-      return 1;
-    }
-    for (int64_t i = 0; i < start; ++i) {
-      (void)coordinator->ReplayRouting(log.records[i].task,
-                                       log.records[i].worker,
-                                       payload(log.records[i]));
-    }
-    status = coordinator->FinishReplay();
-    if (!status.ok()) return FailStatus(status);
-    std::cout << "restored " << resume_from << ": " << start
-              << " answers already consumed\n";
-  }
-
-  int64_t skipped = 0;
-  for (int64_t i = start; i < static_cast<int64_t>(log.records.size());
-       ++i) {
-    // Malformed records (and re-read duplicates) are skipped — this tool
-    // always repairs, so a drive run and a worker/merge run over the same
-    // log consume exactly the same answers.
-    status = coordinator->Observe(log.records[i].task, log.records[i].worker,
-                                  payload(log.records[i]));
-    if (!status.ok()) ++skipped;
-    if (checkpoint_every > 0 &&
-        coordinator->next_sequence() % checkpoint_every == 0) {
-      crowdtruth::util::Stopwatch watch;
-      const std::string path =
-          checkpoint_dir + "/" +
-          shard::CheckpointFileName("checkpoint",
-                                    coordinator->next_sequence());
-      status = shard::WriteJsonFileAtomic(path, coordinator->MakeCheckpoint());
-      if (!status.ok()) return FailStatus(status);
-      coordinator->NoteCheckpoint(watch.ElapsedSeconds());
-    }
-  }
-
-  typename Coordinator::BatchResult global;
-  status = coordinator->GlobalResync(&global);
-  if (!status.ok()) return FailStatus(status);
-
-  std::cout << "drive: " << coordinator->answers_accepted() << " answers ("
-            << skipped << " skipped), " << coordinator->global_num_tasks()
-            << " tasks, " << coordinator->global_num_workers()
-            << " workers across " << coordinator->shard_count()
-            << " shards, " << coordinator->barriers_run() << " barriers\n";
-  for (int s = 0; s < coordinator->shard_count(); ++s) {
-    std::cout << "  shard " << s << ": "
-              << coordinator->engine(s).method().num_tasks() << " tasks, "
-              << coordinator->engine(s).method().num_workers()
-              << " workers\n";
-  }
-  return FinishGlobal(flags, "drive", *coordinator, global, skipped);
 }
 
 // --- Worker mode: one shard of a multi-process deployment -----------------
@@ -624,7 +475,9 @@ int RunWorker(const Flags& flags, int num_choices) {
 // --- Merge mode: verify the workers, solve the global dataset -------------
 
 template <typename Coordinator>
-int RunMerge(const Flags& flags, const LoadedLog& log, int num_choices) {
+int RunMerge(const Flags& flags,
+             const std::vector<data::AnswerLogRecord>& records,
+             int num_choices) {
   constexpr bool kCategorical = std::is_same_v<
       Coordinator, shard::CategoricalShardCoordinator>;
   using Method = typename std::conditional_t<
@@ -656,7 +509,7 @@ int RunMerge(const Flags& flags, const LoadedLog& log, int num_choices) {
   std::vector<std::unordered_set<std::string>> seen_workers(shards);
   std::vector<int64_t> expected_answers(shards, 0);
   int64_t skipped = 0;
-  for (const data::AnswerLogRecord& record : log.records) {
+  for (const data::AnswerLogRecord& record : records) {
     if constexpr (kCategorical) {
       status = coordinator->ReplayRouting(record.task, record.worker,
                                           record.label);
@@ -678,7 +531,7 @@ int RunMerge(const Flags& flags, const LoadedLog& log, int num_choices) {
     ++expected_answers[owner];
   }
 
-  const int64_t total = static_cast<int64_t>(log.records.size());
+  const int64_t total = static_cast<int64_t>(records.size());
   for (int s = 0; s < shards; ++s) {
     const std::string path =
         workdir + "/worker" + std::to_string(s) + "_final.json";
@@ -754,7 +607,7 @@ int RunMerge(const Flags& flags, const LoadedLog& log, int num_choices) {
             << skipped << " skipped), " << coordinator->global_num_tasks()
             << " tasks, " << coordinator->global_num_workers()
             << " workers across " << shards << " shards\n";
-  return FinishGlobal(flags, "merge", *coordinator, global, skipped);
+  return FinishGlobal(flags, *coordinator, global, skipped);
 }
 
 }  // namespace
@@ -762,16 +615,14 @@ int RunMerge(const Flags& flags, const LoadedLog& log, int num_choices) {
 int main(int argc, char** argv) {
   const Flags flags(argc, argv,
                     {{"log", ""},
-                     {"mode", "drive"},
+                     {"mode", ""},
                      {"shards", "1"},
                      {"shard_index", "-1"},
                      {"method", ""},
                      {"num_choices", "0"},
                      {"barrier_interval", "1000"},
                      {"checkpoint_every", "0"},
-                     {"checkpoint_dir", ""},
                      {"resume", "false"},
-                     {"resume_from", ""},
                      {"workdir", ""},
                      {"crash_after", "0"},
                      {"barrier_timeout", "60"},
@@ -793,8 +644,9 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string mode = flags.Get("mode");
-  if (mode != "drive" && mode != "worker" && mode != "merge") {
-    std::cerr << "error: --mode must be drive, worker or merge\n";
+  if (mode != "worker" && mode != "merge") {
+    std::cerr << "error: --mode must be worker or merge (run every shard in "
+                 "one process with crowdtruth_stream --shards)\n";
     return 2;
   }
   if (flags.GetInt("shards") < 1) {
@@ -865,39 +717,23 @@ int main(int argc, char** argv) {
                      flags, num_choices)
                : RunWorker<streaming::IncrementalNumericMethod>(flags, 0);
   } else {
-    LoadedLog log;
-    const Status status = LoadLog(flags.Get("log"), &log);
+    data::AnswerLogHeader header;
+    std::vector<data::AnswerLogRecord> records;
+    const Status status = data::ReadAnswerLog(flags.Get("log"), &header,
+                                              &records);
     if (!status.ok()) return FailStatus(status);
-    const bool categorical =
-        log.header.type == data::AnswerLogType::kCategorical;
-    const int num_choices =
-        categorical ? ResolveNumChoices(flags, log) : 0;
-    if (mode == "drive") {
-      code = categorical
-                 ? RunDrive<shard::CategoricalShardCoordinator>(flags, log,
-                                                                num_choices)
-                 : RunDrive<shard::NumericShardCoordinator>(flags, log, 0);
+    if (header.type == data::AnswerLogType::kCategorical) {
+      code = RunMerge<shard::CategoricalShardCoordinator>(
+          flags, records, ResolveNumChoices(flags, header, records));
     } else {
-      code = categorical
-                 ? RunMerge<shard::CategoricalShardCoordinator>(flags, log,
-                                                                num_choices)
-                 : RunMerge<shard::NumericShardCoordinator>(flags, log, 0);
+      code = RunMerge<shard::NumericShardCoordinator>(flags, records, 0);
     }
   }
 
   if (!metrics_out.empty()) {
     crowdtruth::obs::InstallProcessMetrics(nullptr);
-    Status dump;
-    const bool json =
-        metrics_out.size() >= 5 &&
-        metrics_out.compare(metrics_out.size() - 5, 5, ".json") == 0;
-    if (json) {
-      dump = crowdtruth::util::WriteJsonFile(metrics_out, registry.ToJson());
-    } else {
-      std::ofstream out(metrics_out);
-      if (out) registry.WritePrometheus(out);
-      if (!out.good()) dump = Status::IoError("cannot write " + metrics_out);
-    }
+    const Status dump =
+        crowdtruth::obs::WriteMetricsFile(metrics_out, registry);
     if (!dump.ok()) {
       std::cerr << "error: " << dump.ToString() << '\n';
       if (code == 0) code = 1;

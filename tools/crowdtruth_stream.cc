@@ -36,14 +36,15 @@
 // --metrics_port=N (>= 0; 0 picks an ephemeral port, printed on startup)
 // installs the process-wide metric registry and serves live Prometheus
 // exposition on 127.0.0.1:N during the replay: GET /metrics (text),
-// /metrics.json, /healthz. The server is poll-based and single-threaded —
-// the replay loop pumps it between answers, so scraping never introduces
-// concurrency into the engine. --metrics_linger=SECONDS keeps serving
-// after the stream ends (so a scraper can collect the final state of a
-// fast replay); --metrics_out dumps the registry to a file on exit
+// /metrics.json, /healthz. The server is the epoll StreamingServer
+// (src/server/) with its controller off; the replay loop pumps one
+// non-blocking loop iteration between answers, so scraping never
+// introduces concurrency into the engine. --metrics_linger=SECONDS keeps
+// serving after the stream ends (so a scraper can collect the final state
+// of a fast replay); --metrics_out dumps the registry to a file on exit
 // (Prometheus text, or JSON when the path ends in ".json").
 //
-// --shards=N (> 1), --checkpoint_every=N or --resume_from=FILE switch the
+// --shards=N (> 1), --checkpoint_every=N or --resume_from=PATH switch the
 // replay onto the in-process shard coordinator (src/shard/): tasks are
 // hash-partitioned across N engines, a cross-shard worker-summary barrier
 // runs every --resync_interval answers, and the final resync is one global
@@ -51,8 +52,15 @@
 // engine replay for any shard count. --checkpoint_every=N (requires
 // --checkpoint_dir) writes an atomic, versioned checkpoint document every
 // N consumed answers; --resume_from=FILE restores one and continues the
-// replay where it left off. Sharded replay cannot be combined with
-// --snapshot_in/--snapshot_out (use checkpoints), --serve_port or --trace.
+// replay where it left off, and --resume_from=DIR does the same from the
+// newest checkpoint in DIR (none there: start from the beginning).
+// Sharded replay cannot be combined with --snapshot_in/--snapshot_out
+// (use checkpoints), --serve_port or --trace.
+//
+// CROWDTRUTH_BUGGIFY_SEED (and _ACTIVATE/_FIRE, scenario/buggify.h) arms
+// fault injection; the --json_out report then lists the fired faults as
+// "buggify_faults" ("site#visit" in fire order), so two runs with the
+// same seed can be diffed.
 //
 // --serve_port=N (>= 0; 0 = ephemeral) promotes the replayed categorical
 // engine into tenant "default" of the epoll streaming server
@@ -68,10 +76,8 @@
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
@@ -82,13 +88,13 @@
 #include "data/answer_log.h"
 #include "scenario/buggify.h"
 #include "obs/flight_recorder.h"
-#include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "obs/resource_sampler.h"
 #include "obs/trace_export.h"
 #include "server/server.h"
 #include "shard/checkpoint.h"
 #include "shard/coordinator.h"
+#include "shard/replay.h"
 #include "simulation/online_assignment.h"
 #include "simulation/profiles.h"
 #include "streaming/engine.h"
@@ -109,9 +115,9 @@ using crowdtruth::util::JsonValue;
 using crowdtruth::util::Status;
 using crowdtruth::util::TablePrinter;
 
-// The live exporter, when --metrics_port enabled one. Pumped by the replay
-// loop and the post-stream linger loop; null otherwise.
-crowdtruth::obs::MetricsHttpServer* g_metrics_server = nullptr;
+// The live metrics server, when --metrics_port enabled one. Pumped by the
+// replay loop and the post-stream linger loop; null otherwise.
+crowdtruth::server::StreamingServer* g_metrics_server = nullptr;
 
 // The epoll server, when --serve_port promoted the replay into a live
 // tenant; set only while Run() is blocking, for the signal handler.
@@ -121,31 +127,15 @@ void HandleServeSignal(int /*sig*/) {
   if (g_serve_server != nullptr) g_serve_server->RequestStop();
 }
 
-// One stream element, keyed by string ids; `label` is used for categorical
+// The stream: records keyed by string ids; `label` is used for categorical
 // streams, `value` for numeric ones.
-struct StreamRecord {
-  std::string task;
-  std::string worker;
-  data::LabelId label = 0;
-  double value = 0.0;
-};
-
 struct StreamInput {
   data::AnswerLogType type = data::AnswerLogType::kCategorical;
   int num_choices = 0;
-  std::vector<StreamRecord> records;
+  std::vector<data::AnswerLogRecord> records;
   std::unordered_map<std::string, data::LabelId> truth_labels;
   std::unordered_map<std::string, double> truth_values;
 };
-
-Status ReadFileToString(const std::string& path, std::string* out) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return Status::Ok();
-}
 
 Status LoadTruthCsv(const std::string& path, StreamInput* input) {
   std::vector<std::vector<std::string>> rows;
@@ -180,29 +170,19 @@ Status LoadTruthCsv(const std::string& path, StreamInput* input) {
 }
 
 Status LoadLogInput(const Flags& flags, StreamInput* input) {
-  data::AnswerLogReader reader;
-  Status status = reader.Open(flags.Get("log"));
+  data::AnswerLogHeader header;
+  const Status status =
+      data::ReadAnswerLog(flags.Get("log"), &header, &input->records);
   if (!status.ok()) return status;
-  input->type = reader.header().type;
+  input->type = header.type;
   int max_label = 1;
-  data::AnswerLogRecord record;
-  bool eof = false;
-  while (true) {
-    status = reader.Next(&record, &eof);
-    if (!status.ok()) return status;
-    if (eof) break;
-    StreamRecord parsed;
-    parsed.task = record.task;
-    parsed.worker = record.worker;
-    parsed.label = record.label;
-    parsed.value = record.value;
+  for (const data::AnswerLogRecord& record : input->records) {
     if (record.label > max_label) max_label = record.label;
-    input->records.push_back(std::move(parsed));
   }
   if (input->type == data::AnswerLogType::kCategorical) {
     input->num_choices = flags.GetInt("num_choices") > 0
                              ? flags.GetInt("num_choices")
-                             : reader.header().num_choices;
+                             : header.num_choices;
     if (input->num_choices <= 0) input->num_choices = max_label + 1;
     if (input->num_choices < 2) input->num_choices = 2;
   }
@@ -251,10 +231,11 @@ Status SimulateInput(const Flags& flags, StreamInput* input) {
   input->num_choices = spec.num_choices;
   input->records.reserve(events.size());
   for (const sim::OnlineAnswerEvent& event : events) {
-    StreamRecord record;
+    data::AnswerLogRecord record;
     record.task = std::to_string(event.task);
     record.worker = std::to_string(event.worker);
     record.label = event.label;
+    record.sequence = static_cast<int64_t>(input->records.size());
     input->records.push_back(std::move(record));
   }
   for (data::TaskId t = 0; t < dataset.num_tasks(); ++t) {
@@ -271,7 +252,7 @@ Status SimulateInput(const Flags& flags, StreamInput* input) {
     status = data::AnswerLogWriter::Create(flags.Get("log_out"), header,
                                            &writer);
     if (!status.ok()) return status;
-    for (const StreamRecord& record : input->records) {
+    for (const data::AnswerLogRecord& record : input->records) {
       status = writer.Append(record.task, record.worker, record.label);
       if (!status.ok()) return status;
     }
@@ -347,14 +328,9 @@ int RunStream(const Flags& flags, const StreamInput& input, Engine& engine,
   if (flags.GetBool("trace")) engine.set_trace(&trace);
 
   if (!flags.Get("snapshot_in").empty()) {
-    std::string text;
-    Status status = ReadFileToString(flags.Get("snapshot_in"), &text);
-    if (!status.ok()) {
-      std::cerr << "error: " << status.ToString() << '\n';
-      return 1;
-    }
     JsonValue snapshot;
-    status = crowdtruth::util::ParseJson(text, &snapshot);
+    Status status =
+        crowdtruth::shard::ReadJsonFile(flags.Get("snapshot_in"), &snapshot);
     if (!status.ok()) {
       std::cerr << "error: " << flags.Get("snapshot_in") << ": "
                 << status.ToString() << '\n';
@@ -382,7 +358,7 @@ int RunStream(const Flags& flags, const StreamInput& input, Engine& engine,
   const int report_interval = flags.GetInt("report_interval");
   int64_t skipped = 0;
   int64_t replayed = 0;
-  for (const StreamRecord& record : input.records) {
+  for (const data::AnswerLogRecord& record : input.records) {
     const Status status =
         engine.Observe(record.task, record.worker, payload(record));
     if (!status.ok()) {
@@ -401,7 +377,7 @@ int RunStream(const Flags& flags, const StreamInput& input, Engine& engine,
       return 1;
     }
     ++replayed;
-    if (g_metrics_server != nullptr) g_metrics_server->Poll(0);
+    if (g_metrics_server != nullptr) g_metrics_server->RunOnce(0);
     if (report_interval > 0 && replayed % report_interval == 0) {
       std::cout << "[stream] answers=" << engine.stats().answers
                 << quality_line(engine) << " p50_observe="
@@ -484,6 +460,14 @@ int FinishWithOutputs(const Flags& flags, JsonValue report,
               << '\n';
   }
   if (!flags.Get("json_out").empty()) {
+    if (crowdtruth::scenario::BuggifyEnabled()) {
+      JsonValue faults = JsonValue::Array();
+      for (const std::string& line :
+           crowdtruth::scenario::BuggifyFaultLines()) {
+        faults.Append(line);
+      }
+      report.Set("buggify_faults", std::move(faults));
+    }
     status = crowdtruth::util::WriteJsonFile(flags.Get("json_out"), report);
     if (!status.ok()) {
       std::cerr << "error: " << status.ToString() << '\n';
@@ -592,7 +576,7 @@ int RunCategorical(const Flags& flags, const StreamInput& input,
   };
   const int exit_code = RunStream(
       flags, input, engine,
-      [](const StreamRecord& record) { return record.label; },
+      [](const data::AnswerLogRecord& record) { return record.label; },
       quality_line);
   if (exit_code != 0) return exit_code;
 
@@ -663,7 +647,7 @@ int RunNumeric(const Flags& flags, const StreamInput& input,
       };
   const int exit_code = RunStream(
       flags, input, engine,
-      [](const StreamRecord& record) { return record.value; },
+      [](const data::AnswerLogRecord& record) { return record.value; },
       quality_line);
   if (exit_code != 0) return exit_code;
 
@@ -716,10 +700,17 @@ int RunSharded(const Flags& flags, const StreamInput& input,
                  "--snapshot_out, --serve_port or --trace\n";
     return 2;
   }
-  const int checkpoint_every = flags.GetInt("checkpoint_every");
-  const std::string checkpoint_dir = flags.Get("checkpoint_dir");
-  if (checkpoint_every > 0 && checkpoint_dir.empty()) {
+  shard::ReplayOptions replay;
+  replay.checkpoint_every = flags.GetInt("checkpoint_every");
+  replay.checkpoint_dir = flags.Get("checkpoint_dir");
+  if (replay.checkpoint_every > 0 && replay.checkpoint_dir.empty()) {
     std::cerr << "error: --checkpoint_every requires --checkpoint_dir\n";
+    return 2;
+  }
+  Status status = crowdtruth::data::ParseBadRecordPolicy(
+      flags.Get("on-bad-record"), &replay.policy);
+  if (!status.ok()) {
+    std::cerr << "error: " << status.ToString() << '\n';
     return 2;
   }
 
@@ -733,105 +724,47 @@ int RunSharded(const Flags& flags, const StreamInput& input,
   config.options = MakeStreamingOptions(flags);
   config.barrier_interval = flags.GetInt("resync_interval");
   std::unique_ptr<Coordinator> coordinator;
-  Status status = Coordinator::Create(config, &coordinator);
+  status = Coordinator::Create(config, &coordinator);
   if (!status.ok()) {
     std::cerr << "error: " << status.ToString() << '\n';
     return 2;
   }
 
-  crowdtruth::data::BadRecordPolicy policy;
-  status = crowdtruth::data::ParseBadRecordPolicy(flags.Get("on-bad-record"),
-                                                  &policy);
-  if (!status.ok()) {
-    std::cerr << "error: " << status.ToString() << '\n';
-    return 2;
-  }
-
-  const auto payload = [](const StreamRecord& record) {
-    if constexpr (kCategorical) {
-      return record.label;
+  const std::string resume_from = flags.Get("resume_from");
+  if (!resume_from.empty()) {
+    std::string restored;
+    status = shard::ResumeFrom(resume_from, input.records, coordinator.get(),
+                               &restored);
+    if (!status.ok()) {
+      std::cerr << "error: " << status.ToString() << '\n';
+      return 1;
+    }
+    if (restored.empty()) {
+      std::cout << "no checkpoint in " << resume_from
+                << ", starting from the beginning\n";
     } else {
-      return record.value;
+      std::cout << "restored " << restored << ": "
+                << coordinator->next_sequence()
+                << " answers already consumed\n";
     }
-  };
-
-  int64_t start = 0;
-  if (!flags.Get("resume_from").empty()) {
-    JsonValue doc;
-    status = shard::ReadJsonFile(flags.Get("resume_from"), &doc);
-    if (!status.ok()) {
-      std::cerr << "error: " << status.ToString() << '\n';
-      return 1;
-    }
-    status = coordinator->Restore(doc);
-    if (!status.ok()) {
-      std::cerr << "error: " << flags.Get("resume_from") << ": "
-                << status.ToString() << '\n';
-      return 1;
-    }
-    start = coordinator->next_sequence();
-    if (start > static_cast<int64_t>(input.records.size())) {
-      std::cerr << "error: checkpoint consumed " << start
-                << " records but the log holds only " << input.records.size()
-                << '\n';
-      return 1;
-    }
-    // Routing is deterministic, so the consumed prefix rebuilds the global
-    // state the checkpoint's engines were derived from; FinishReplay
-    // verifies the two actually agree.
-    for (int64_t i = 0; i < start; ++i) {
-      const StreamRecord& record = input.records[i];
-      (void)coordinator->ReplayRouting(record.task, record.worker,
-                                       payload(record));
-    }
-    status = coordinator->FinishReplay();
-    if (!status.ok()) {
-      std::cerr << "error: " << status.ToString() << '\n';
-      return 1;
-    }
-    std::cout << "restored checkpoint: " << start
-              << " answers already consumed\n";
   }
 
   const int report_interval = flags.GetInt("report_interval");
-  int64_t skipped = 0;
-  int64_t replayed = 0;
-  for (int64_t i = start; i < static_cast<int64_t>(input.records.size());
-       ++i) {
-    const StreamRecord& record = input.records[i];
-    status =
-        coordinator->Observe(record.task, record.worker, payload(record));
-    if (!status.ok()) {
-      const bool duplicate =
-          status.message().find("duplicate") != std::string::npos;
-      if (!duplicate &&
-          policy == crowdtruth::data::BadRecordPolicy::kReject) {
-        std::cerr << "error: " << status.ToString() << '\n';
-        return 1;
-      }
-      ++skipped;
-    } else {
-      ++replayed;
-      if (report_interval > 0 && replayed % report_interval == 0) {
-        std::cout << "[stream] answers=" << coordinator->answers_accepted()
-                  << " barriers=" << coordinator->barriers_run() << '\n';
-      }
+  shard::ReplayCounts counts;
+  replay.on_record = [&](bool accepted) {
+    if (accepted && report_interval > 0 &&
+        counts.replayed % report_interval == 0) {
+      std::cout << "[stream] answers=" << coordinator->answers_accepted()
+                << " barriers=" << coordinator->barriers_run() << '\n';
     }
-    if (checkpoint_every > 0 &&
-        coordinator->next_sequence() % checkpoint_every == 0) {
-      crowdtruth::util::Stopwatch watch;
-      const std::string path =
-          checkpoint_dir + "/" +
-          shard::CheckpointFileName("checkpoint",
-                                    coordinator->next_sequence());
-      status = shard::WriteJsonFileAtomic(path, coordinator->MakeCheckpoint());
-      if (!status.ok()) {
-        std::cerr << "error: " << status.ToString() << '\n';
-        return 1;
-      }
-      coordinator->NoteCheckpoint(watch.ElapsedSeconds());
-    }
-    if (g_metrics_server != nullptr) g_metrics_server->Poll(0);
+    if (g_metrics_server != nullptr) g_metrics_server->RunOnce(0);
+  };
+  status = shard::ReplayRange(input.records, coordinator->next_sequence(),
+                              static_cast<int64_t>(input.records.size()),
+                              replay, coordinator.get(), &counts);
+  if (!status.ok()) {
+    std::cerr << "error: " << status.ToString() << '\n';
+    return 1;
   }
 
   typename Coordinator::BatchResult global;
@@ -845,7 +778,8 @@ int RunSharded(const Flags& flags, const StreamInput& input,
   }
 
   std::cout << "stream: " << coordinator->answers_accepted() << " answers ("
-            << replayed << " replayed, " << skipped << " skipped), "
+            << counts.replayed << " replayed, " << counts.skipped
+            << " skipped), "
             << coordinator->global_num_tasks() << " tasks, "
             << coordinator->global_num_workers() << " workers across "
             << coordinator->shard_count() << " shards\n"
@@ -935,7 +869,7 @@ int RunSharded(const Flags& flags, const StreamInput& input,
   report.Set("barrier_interval",
              static_cast<int64_t>(config.barrier_interval));
   report.Set("barriers", coordinator->barriers_run());
-  report.Set("checkpoint_every", checkpoint_every);
+  report.Set("checkpoint_every", replay.checkpoint_every);
   if constexpr (kCategorical) report.Set("num_choices", input.num_choices);
   JsonValue final = JsonValue::Object();
   final.Set("labeled_tasks", labeled);
@@ -1033,9 +967,8 @@ int main(int argc, char** argv) {
   }
 
   // Metrics: install the process-wide registry when any metrics surface is
-  // requested, and start the live exporter when --metrics_port >= 0.
+  // requested, and start the live metrics server when --metrics_port >= 0.
   crowdtruth::obs::MetricRegistry registry;
-  crowdtruth::obs::MetricsHttpServer server(&registry);
   const int metrics_port = flags.GetInt("metrics_port");
   const std::string metrics_out = flags.Get("metrics_out");
   if (metrics_port >= 0 || !metrics_out.empty() ||
@@ -1047,15 +980,23 @@ int main(int argc, char** argv) {
   crowdtruth::obs::FlightRecorder recorder;
   const std::string trace_out = flags.Get("trace_out");
   if (!trace_out.empty()) crowdtruth::obs::InstallFlightRecorder(&recorder);
+  std::unique_ptr<crowdtruth::server::StreamingServer> metrics_server;
   if (metrics_port >= 0) {
-    const Status started = server.Start(metrics_port);
+    crowdtruth::server::ServerConfig config;
+    config.port = metrics_port;
+    config.controller_enabled = false;
+    metrics_server = std::make_unique<crowdtruth::server::StreamingServer>(
+        config, &registry);
+    const Status started = metrics_server->Start();
     if (!started.ok()) {
       std::cerr << "error: " << started.ToString() << '\n';
       return 1;
     }
-    g_metrics_server = &server;
-    std::cout << "metrics: serving http://127.0.0.1:" << server.port()
-              << "/metrics\n";
+    g_metrics_server = metrics_server.get();
+    // Flushed: with --metrics_port=0 a scraper reads the port from here,
+    // and stdout is block-buffered when redirected.
+    std::cout << "metrics: serving http://127.0.0.1:"
+              << metrics_server->port() << "/metrics" << std::endl;
   }
 
   const std::string mode = simulate ? "simulate" : "replay";
@@ -1076,32 +1017,22 @@ int main(int argc, char** argv) {
   }
 
   const double linger = flags.GetDouble("metrics_linger");
-  if (g_metrics_server != nullptr && linger > 0) {
-    std::cout << "metrics: lingering "
-              << TablePrinter::Fixed(linger, 1) << "s on port "
-              << server.port() << '\n';
-    crowdtruth::util::Stopwatch stopwatch;
-    while (stopwatch.ElapsedSeconds() < linger) {
-      server.Poll(/*timeout_ms=*/50);
-    }
-  }
-  g_metrics_server = nullptr;
-  server.Stop();
-  if (!metrics_out.empty()) {
-    crowdtruth::obs::InstallProcessMetrics(nullptr);
-    const bool json =
-        metrics_out.size() >= 5 &&
-        metrics_out.compare(metrics_out.size() - 5, 5, ".json") == 0;
-    Status dump;
-    if (json) {
-      dump = crowdtruth::util::WriteJsonFile(metrics_out, registry.ToJson());
-    } else {
-      std::ofstream out(metrics_out);
-      if (out) registry.WritePrometheus(out);
-      if (!out.good()) {
-        dump = Status::IoError("cannot write " + metrics_out);
+  if (metrics_server != nullptr) {
+    if (linger > 0) {
+      std::cout << "metrics: lingering " << TablePrinter::Fixed(linger, 1)
+                << "s on port " << metrics_server->port() << '\n';
+      crowdtruth::util::Stopwatch stopwatch;
+      while (stopwatch.ElapsedSeconds() < linger) {
+        metrics_server->RunOnce(/*max_wait_ms=*/50);
       }
     }
+    g_metrics_server = nullptr;
+    metrics_server->Stop();
+  }
+  if (!metrics_out.empty()) {
+    crowdtruth::obs::InstallProcessMetrics(nullptr);
+    const Status dump =
+        crowdtruth::obs::WriteMetricsFile(metrics_out, registry);
     if (!dump.ok()) {
       std::cerr << "error: " << dump.ToString() << '\n';
       if (code == 0) code = 1;

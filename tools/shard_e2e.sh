@@ -6,20 +6,24 @@
 # checkpoint, BIT-IDENTICAL truth — across every deployment shape:
 #
 #   1. crowdtruth_stream --shards=4 equals the single-engine replay byte
-#      for byte (truth CSV);
-#   2. periodic checkpoints + --resume_from a mid-run checkpoint reproduce
+#      for byte (truth AND worker-quality CSVs);
+#   2. periodic checkpoints + --resume_from a mid-run checkpoint, and
+#      --resume_from the checkpoint directory (newest checkpoint), reproduce
 #      the same bytes;
 #   3. four crowdtruth_shard worker processes all-reducing through a shared
 #      workdir, then merge mode, reproduce the same bytes (truth AND worker
 #      qualities);
 #   4. killing one worker mid-run (injected crash, exit 7) and restarting
 #      it from its latest checkpoint still reproduces the same bytes;
-#   5. the drive-mode /metrics dump carries the per-shard
-#      crowdtruth_shard_* families and passes the exposition checker;
+#   5. the sharded crowdtruth_stream --metrics_out dump carries the
+#      per-shard crowdtruth_shard_* families and passes the exposition
+#      checker;
 #   6. Buggify (src/scenario/buggify.h) is deterministic: the same
-#      --buggify_seed produces an identical fault log and bit-identical
-#      truth at shard counts 1 and 4. In a default build the fault sites
-#      are compiled out and the assertion holds trivially (empty logs);
+#      CROWDTRUTH_BUGGIFY_SEED produces an identical fault log (the
+#      "buggify_faults" list of crowdtruth_stream's --json_out report) and
+#      bit-identical truth at shard counts 1 and 4. In a default build the
+#      fault sites are compiled out and the assertion holds trivially
+#      (empty logs);
 #      CI also runs this script under -DCROWDTRUTH_BUGGIFY=ON with
 #      CROWDTRUTH_BUGGIFY_SEED exported, which arms every assertion above
 #      with live fault injection.
@@ -59,13 +63,18 @@ echo "log: $total answers"
 
 # Baseline: the single-engine replay every other shape must reproduce.
 "$STREAM" --log="$WORK/answers.log" --method=ZC --resync_interval=500 \
-    --output="$WORK/single.csv" > /dev/null
+    --output="$WORK/single.csv" --workers_output="$WORK/single_workers.csv" \
+    > /dev/null
 
-# Assertion 1: in-process sharded replay, byte-identical for 4 shards.
+# Assertion 1: in-process sharded replay, byte-identical for 4 shards. Its
+# worker qualities are the reference for the worker-process runs below.
 "$STREAM" --log="$WORK/answers.log" --method=ZC --shards=4 \
-    --resync_interval=100 --output="$WORK/shard4.csv" > /dev/null
+    --resync_interval=100 --output="$WORK/shard4.csv" \
+    --workers_output="$WORK/workers1.csv" > /dev/null
 cmp "$WORK/single.csv" "$WORK/shard4.csv" \
     || fail "4-shard truth differs from the single-engine replay"
+cmp "$WORK/single_workers.csv" "$WORK/workers1.csv" \
+    || fail "4-shard worker qualities differ from the single-engine replay"
 
 # Assertion 2: checkpoint every 100 answers, then resume from a mid-run
 # checkpoint and reproduce the same bytes.
@@ -82,13 +91,15 @@ middle=$(ls "$WORK/ckpt" | sort | awk 'NR == 2')
     --output="$WORK/resumed.csv" > /dev/null
 cmp "$WORK/single.csv" "$WORK/resumed.csv" \
     || fail "resume from $middle diverged from the single-engine replay"
-
-# A reference run for worker qualities (drive mode, 1 shard).
-"$SHARD" --log="$WORK/answers.log" --shards=1 --method=ZC \
-    --output="$WORK/drive1.csv" --workers_output="$WORK/workers1.csv" \
-    > /dev/null
-cmp "$WORK/single.csv" "$WORK/drive1.csv" \
-    || fail "drive-mode truth differs from crowdtruth_stream"
+"$STREAM" --log="$WORK/answers.log" --method=ZC --shards=4 \
+    --resync_interval=100 --resume_from="$WORK/ckpt" \
+    --output="$WORK/resumed_dir.csv" > "$WORK/resumed_dir.out"
+# (The newest one, unless Buggify's snapshot_restore site deliberately
+# hands back the one before it; shard_test pins the fault-free pick.)
+grep -q "restored $WORK/ckpt/checkpoint_" "$WORK/resumed_dir.out" \
+    || fail "directory resume restored no checkpoint from $WORK/ckpt"
+cmp "$WORK/single.csv" "$WORK/resumed_dir.csv" \
+    || fail "directory resume diverged from the single-engine replay"
 
 # Assertion 3: four worker processes + file barriers + merge.
 mkdir -p "$WORK/wd"
@@ -153,8 +164,8 @@ cmp "$WORK/workers1.csv" "$WORK/crashed_workers.csv" \
 
 # Assertion 5: the per-shard metric families are exported and well-formed.
 mkdir -p "$WORK/ckpt2"
-"$SHARD" --log="$WORK/answers.log" --shards=4 --method=ZC \
-    --barrier_interval=100 --checkpoint_every=200 \
+"$STREAM" --log="$WORK/answers.log" --shards=4 --method=ZC \
+    --resync_interval=100 --checkpoint_every=200 \
     --checkpoint_dir="$WORK/ckpt2" --output="$WORK/metrics_run.csv" \
     --metrics_out="$WORK/shard_metrics.prom" > /dev/null
 python3 tools/check_metrics_exposition.py "$WORK/shard_metrics.prom" \
@@ -165,18 +176,24 @@ python3 tools/check_metrics_exposition.py "$WORK/shard_metrics.prom" \
               crowdtruth_shard_barrier_wait_seconds
 
 # Assertion 6: fault-schedule determinism. Two runs with the same
-# --buggify_seed must write byte-identical fault logs, and the faulty runs
-# must still produce the single-engine truth bytes — at 1 and 4 shards.
+# CROWDTRUTH_BUGGIFY_SEED must report byte-identical fault logs, and the
+# faulty runs must still produce the single-engine truth bytes — at 1 and
+# 4 shards (--checkpoint_every keeps even 1 shard on the coordinator).
 for shards in 1 4; do
   for run in A B; do
     mkdir -p "$WORK/bg$run$shards"
-    "$SHARD" --log="$WORK/answers.log" --shards="$shards" --method=ZC \
-        --barrier_interval=100 --checkpoint_every=100 \
+    CROWDTRUTH_BUGGIFY_SEED=11 CROWDTRUTH_BUGGIFY_ACTIVATE=100 \
+    CROWDTRUTH_BUGGIFY_FIRE=30 \
+    "$STREAM" --log="$WORK/answers.log" --shards="$shards" --method=ZC \
+        --resync_interval=100 --checkpoint_every=100 \
         --checkpoint_dir="$WORK/bg$run$shards" \
         --output="$WORK/bg$run$shards/truth.csv" \
-        --buggify_seed=11 --buggify_activate=100 --buggify_fire=30 \
-        --buggify_log="$WORK/bg$run$shards/faults.log" > /dev/null \
-        || fail "buggify drive run $run ($shards shards) failed"
+        --json_out="$WORK/bg$run$shards/report.json" > /dev/null \
+        || fail "buggify sharded run $run ($shards shards) failed"
+    python3 -c 'import json, sys
+faults = json.load(open(sys.argv[1]))["buggify_faults"]
+print("\n".join(faults + ["total %d" % len(faults)]))' \
+        "$WORK/bg$run$shards/report.json" > "$WORK/bg$run$shards/faults.log"
   done
   cmp "$WORK/bgA$shards/faults.log" "$WORK/bgB$shards/faults.log" \
       || fail "fault logs differ across identical runs ($shards shards)"
