@@ -95,41 +95,41 @@ EmLoopStats RunEmLoop(const EmDriver& driver, const std::vector<EmStep>& steps,
   EmLoopStats stats;
   obs::Span run_span("em_run");
   if (run_span.armed()) run_span.Annotate("method", driver.method);
-  IterationTracer tracer(driver.trace);
   EmContext context(driver.num_threads);
-  // Metrics phase timing is independent of the tracer: activating the
-  // tracer changes what methods compute for their delta (see
-  // IterationTracer::active), and metrics must never perturb a run.
+  // One stopwatch read per step feeds both phase consumers: the trace
+  // sink's per-iteration phase seconds and the run totals behind the
+  // crowdtruth_em_{truth,quality}_step_seconds_total counters.
   obs::MetricRegistry* const metrics = obs::ProcessMetrics();
   util::Stopwatch phase_watch;
   double truth_seconds = 0.0;
   double quality_seconds = 0.0;
   for (int iteration = 0; iteration < driver.max_iterations; ++iteration) {
     context.iteration_ = iteration;
-    tracer.BeginIteration();
+    IterationEvent event;
     for (const EmStep& step : steps) {
-      obs::Span step_span(step.phase == TracePhase::kTruthStep
-                              ? "em_truth_step"
-                              : "em_quality_step");
+      const bool truth_step = step.phase == TracePhase::kTruthStep;
+      obs::Span step_span(truth_step ? "em_truth_step" : "em_quality_step");
       if (step_span.armed()) {
         step_span.Annotate("iteration", static_cast<int64_t>(iteration));
       }
-      if (metrics != nullptr) phase_watch.Restart();
+      phase_watch.Restart();
       step.run(context);
-      tracer.EndPhase(step.phase);
-      if (metrics != nullptr) {
-        (step.phase == TracePhase::kTruthStep ? truth_seconds
-                                              : quality_seconds) +=
-            phase_watch.ElapsedSeconds();
-      }
+      (truth_step ? event.truth_seconds : event.quality_seconds) +=
+          phase_watch.ElapsedSeconds();
     }
+    truth_seconds += event.truth_seconds;
+    quality_seconds += event.quality_seconds;
     const bool delta_needed =
         driver.convergence != EmConvergence::kFixedIterations ||
-        tracer.active();
+        driver.trace != nullptr;
     const double delta = measure(delta_needed);
     stats.iterations = iteration + 1;
     if (driver.record_trace) stats.convergence_trace.push_back(delta);
-    tracer.EndIteration(stats.iterations, delta);
+    if (driver.trace != nullptr) {
+      event.iteration = stats.iterations;
+      event.delta = delta;
+      driver.trace->OnIteration(event);
+    }
     bool converged = false;
     switch (driver.convergence) {
       case EmConvergence::kDeltaBelowTolerance:

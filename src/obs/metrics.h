@@ -14,9 +14,8 @@
 //   * Gauge     — arbitrary settable double (backlog depth, peak RSS).
 //   * Histogram — fixed-bucket cumulative histogram; the log-scale bucket
 //                 layout bounds memory to O(buckets) regardless of sample
-//                 count — the bounded alternative to util::LatencyRecorder,
-//                 which keeps every raw sample alive (8 bytes per answer,
-//                 forever, on a long-lived stream).
+//                 count — the bounded alternative to keeping raw samples
+//                 (util::LatencyRecorder, 8 bytes per sample, forever).
 //   * Digest    — a mutex-guarded obs::TDigest quantile sketch, exposed in
 //                 Prometheus summary form (quantile-labeled samples plus
 //                 _sum/_count). Buckets answer "how many samples fell

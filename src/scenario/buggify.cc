@@ -1,5 +1,6 @@
 #include "scenario/buggify.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -111,6 +112,35 @@ void BuggifyInitFromEnv() {
   config.activate_probability = percent("CROWDTRUTH_BUGGIFY_ACTIVATE", 0.25);
   config.fire_probability = percent("CROWDTRUTH_BUGGIFY_FIRE", 0.25);
   EnableBuggify(config);
+}
+
+util::Status ArmBuggify(const std::string& seed_flag, double activate_percent,
+                        double fire_percent,
+                        std::optional<uint64_t>* armed_seed) {
+  if (seed_flag.empty()) {
+    BuggifyInitFromEnv();
+  } else {
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long seed =
+        std::strtoull(seed_flag.c_str(), &end, 10);
+    if (seed_flag[0] == '-' || end == seed_flag.c_str() || *end != '\0' ||
+        errno == ERANGE) {
+      return util::Status::InvalidArgument(
+          "--buggify_seed must be an unsigned 64-bit integer, got \"" +
+          seed_flag + "\"");
+    }
+    BuggifyConfig config;
+    config.seed = seed;
+    config.activate_probability = activate_percent / 100.0;
+    config.fire_probability = fire_percent / 100.0;
+    EnableBuggify(config);
+  }
+  std::lock_guard<std::mutex> lock(g_mutex);
+  *armed_seed = g_context == nullptr
+                    ? std::nullopt
+                    : std::optional<uint64_t>(g_context->config().seed);
+  return util::Status::Ok();
 }
 
 bool Buggify(const char* site) {

@@ -33,6 +33,7 @@
 #define CROWDTRUTH_SCENARIO_BUGGIFY_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -105,6 +106,16 @@ bool BuggifyEnabled();
 // default 25). Lets shell harnesses (tools/shard_e2e.sh) switch faults on
 // without new flags on every tool.
 void BuggifyInitFromEnv();
+
+// Arms the process context for a tool with --buggify_seed flags: a
+// non-empty `seed_flag` (any unsigned 64-bit decimal) wins, with the given
+// activate/fire percentages; an empty one falls back to the environment
+// (BuggifyInitFromEnv). On success *armed_seed is the seed of the armed
+// schedule, or nullopt when buggify stayed off. A malformed flag is
+// kInvalidArgument and arms nothing.
+util::Status ArmBuggify(const std::string& seed_flag, double activate_percent,
+                        double fire_percent,
+                        std::optional<uint64_t>* armed_seed);
 
 // The function behind the CROWDTRUTH_BUGGIFY macro: false unless buggify is
 // enabled, else one visit of `site` under the process context.

@@ -47,8 +47,10 @@ struct ReplayOptions {
   // checkpoint_dir, which must then be set.
   int64_t checkpoint_every = 0;
   std::string checkpoint_dir;
-  // Called after every consumed record with whether it was accepted.
-  std::function<void(bool accepted)> on_record;
+  // Called after every consumed record with whether it was accepted;
+  // returning false stops the replay there (ReplayRange then returns OK
+  // with the records consumed so far counted).
+  std::function<bool(bool accepted)> on_record;
 };
 
 struct ReplayCounts {
@@ -154,7 +156,7 @@ util::Status ReplayRange(const std::vector<data::AnswerLogRecord>& log,
       if (!status.ok()) return status;
       coordinator->NoteCheckpoint(watch.ElapsedSeconds());
     }
-    if (options.on_record) options.on_record(accepted);
+    if (options.on_record && !options.on_record(accepted)) break;
   }
   return util::Status::Ok();
 }

@@ -31,10 +31,10 @@
 #include "core/trace.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "obs/tdigest.h"
 #include "streaming/incremental.h"
 #include "streaming/worker_summary.h"
 #include "util/json_writer.h"
-#include "util/latency.h"
 #include "util/logging.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
@@ -113,8 +113,10 @@ struct EngineConfig {
 struct EngineStats {
   int64_t answers = 0;
   int resyncs = 0;
-  // Per-answer Observe cost (interning + incremental update).
-  util::LatencyRecorder observe_latency;
+  // Per-answer Observe cost (interning + incremental update) as a bounded
+  // sketch: count, sum and max are exact, quantiles approximate, and the
+  // memory stays O(compression) however long the engine lives.
+  obs::TDigest observe_latency;
   // Total wall-clock spent inside resyncs.
   double resync_seconds = 0.0;
 };
@@ -177,7 +179,7 @@ class StreamEngine {
     util::Status status = method_->Observe(answer);
     if (!status.ok()) return status;
     const double seconds = stopwatch.ElapsedSeconds();
-    stats_.observe_latency.Record(seconds);
+    stats_.observe_latency.Add(seconds);
     ++stats_.answers;
     if (EngineMetricSet* m = Metrics()) {
       m->answers->Increment();
@@ -205,15 +207,7 @@ class StreamEngine {
     util::Stopwatch stopwatch;
     BatchResult result = method_->Resync();
     const double seconds = stopwatch.ElapsedSeconds();
-    stats_.resync_seconds += seconds;
-    ++stats_.resyncs;
-    if (EngineMetricSet* m = Metrics()) {
-      m->resyncs->Increment();
-      m->resync_seconds->Increment(seconds);
-      m->resync_duration->Observe(seconds);
-      m->resync_duration_digest->Observe(seconds);
-      m->backlog->Set(static_cast<double>(method_->backlog_size()));
-    }
+    NoteResync(seconds);
     if (span.armed()) {
       span.Annotate("method", method_->name());
       span.Annotate("resync_index", static_cast<int64_t>(stats_.resyncs));
@@ -224,11 +218,11 @@ class StreamEngine {
       event.delta =
           internal_engine::EstimateDelta(before, method_->Estimates());
       event.truth_seconds =
-          stats_.observe_latency.total_seconds() - observe_seconds_traced_;
+          stats_.observe_latency.sum() - observe_seconds_traced_;
       event.quality_seconds = seconds;
       trace_->OnIteration(event);
     }
-    observe_seconds_traced_ = stats_.observe_latency.total_seconds();
+    observe_seconds_traced_ = stats_.observe_latency.sum();
     return result;
   }
 
@@ -239,16 +233,7 @@ class StreamEngine {
     obs::Span span("engine_adopt_result");
     util::Stopwatch stopwatch;
     method_->AdoptResult(result);
-    const double seconds = stopwatch.ElapsedSeconds();
-    stats_.resync_seconds += seconds;
-    ++stats_.resyncs;
-    if (EngineMetricSet* m = Metrics()) {
-      m->resyncs->Increment();
-      m->resync_seconds->Increment(seconds);
-      m->resync_duration->Observe(seconds);
-      m->resync_duration_digest->Observe(seconds);
-      m->backlog->Set(static_cast<double>(method_->backlog_size()));
-    }
+    NoteResync(stopwatch.ElapsedSeconds());
   }
 
   // --- Cross-shard summary exchange ---
@@ -324,7 +309,7 @@ class StreamEngine {
     return root;
   }
 
-  // Restores id tables, counters and the method state. Latency samples are
+  // Restores id tables, counters and the method state. Latency stats are
   // not carried across snapshots (they describe a process, not the state).
   // Unknown snapshot versions are a typed kValidationError so callers can
   // distinguish "from a newer build" from plain corruption.
@@ -423,6 +408,19 @@ class StreamEngine {
   }
 
  private:
+  // Books one resync, run here or adopted, in stats and metrics.
+  void NoteResync(double seconds) {
+    stats_.resync_seconds += seconds;
+    ++stats_.resyncs;
+    if (EngineMetricSet* m = Metrics()) {
+      m->resyncs->Increment();
+      m->resync_seconds->Increment(seconds);
+      m->resync_duration->Observe(seconds);
+      m->resync_duration_digest->Observe(seconds);
+      m->backlog->Set(static_cast<double>(method_->backlog_size()));
+    }
+  }
+
   // Cached children of the process-wide stream metric families, labeled by
   // the wrapped method's name and the owning tenant ("" outside the
   // server). Resolved once per installed registry so the per-answer cost is

@@ -1,5 +1,9 @@
-// Integration tests for the crowdtruth_infer and crowdtruth_stream
-// command-line tools: drives the real binaries over files via std::system.
+// Integration tests for the crowdtruth_infer, crowdtruth_stream,
+// crowdtruth_shard and crowdtruth_matrix command-line tools: drives the
+// real binaries over files via std::system.
+#include <sys/wait.h>
+
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -157,6 +161,128 @@ TEST(CliTest, StreamShardedResumeFromDirectoryMatchesSingleEngine) {
   std::remove(single.c_str());
   std::remove(resumed.c_str());
   std::remove(out.c_str());
+}
+
+// Runs `command` under /bin/sh and returns its exit code.
+int ExitCode(const std::string& command) {
+  const int status = std::system(command.c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+// crowdtruth_matrix arms Buggify from the environment and from flag seeds
+// past 32 bits, and the armed seed keys the cell cache: another schedule
+// recomputes the cell, the same one reuses it.
+TEST(CliTest, MatrixArmsBuggifyFromEnvironmentAndWideSeeds) {
+  const std::string dir = TempPath("cli_matrix");
+  std::filesystem::remove_all(dir);
+  const std::string out = TempPath("cli_matrix_out.txt");
+  const auto run = [&](const std::string& env, const std::string& args) {
+    return ExitCode(env + BinaryPath("crowdtruth_matrix") + " --out=" + dir +
+                    " --scenarios=long_tail --methods=MV --policies=batch " +
+                    args + " > " + out + " 2>&1");
+  };
+  const std::string env_seed = "CROWDTRUTH_BUGGIFY_SEED=7 ";
+
+  const auto expect_cells = [&](const std::string& env,
+                                const std::string& args,
+                                const std::string& counts) {
+    ASSERT_EQ(run(env, args), 0) << ReadFile(out);
+    EXPECT_NE(ReadFile(out).find("buggify: "), std::string::npos);
+    EXPECT_NE(ReadFile(out).find(counts), std::string::npos) << ReadFile(out);
+  };
+  expect_cells(env_seed, "", "(1 computed, 0 cached)");
+  expect_cells(env_seed, "", "(0 computed, 1 cached)");
+  expect_cells("", "--buggify_seed=4294967296", "(1 computed, 0 cached)");
+  expect_cells("", "--buggify_seed=4294967296", "(0 computed, 1 cached)");
+  EXPECT_EQ(run("", "--buggify_seed=18446744073709551616"), 2);
+  EXPECT_EQ(run("", "--buggify_seed=-1"), 2);
+  std::filesystem::remove_all(dir);
+  std::remove(out.c_str());
+}
+
+// A crowdtruth_shard worker's --metrics_out dump carries the process
+// gauges like every other CLI's.
+TEST(CliTest, ShardWorkerMetricsDumpCarriesProcessGauges) {
+  const std::string log = TempPath("cli_shard_answers.log");
+  WriteFile(log,
+            "crowdtruth_log,v1,categorical,2\n"
+            "a,w1,0\na,w2,0\nb,w1,1\nb,w2,1\n");
+  const std::string dir = TempPath("cli_shard_work");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string metrics = TempPath("cli_shard_metrics.prom");
+  const std::string out = TempPath("cli_shard_out.txt");
+  ASSERT_EQ(RunTool("--mode=worker --log=" + log +
+                        " --shards=1 --shard_index=0 --workdir=" + dir +
+                        " --metrics_out=" + metrics,
+                    out, "crowdtruth_shard"),
+            0)
+      << ReadFile(out);
+  EXPECT_NE(ReadFile(metrics).find("crowdtruth_process_peak_rss_bytes"),
+            std::string::npos);
+  std::filesystem::remove_all(dir);
+  std::remove(log.c_str());
+  std::remove(metrics.c_str());
+  std::remove(out.c_str());
+}
+
+// Starts crowdtruth_stream in the background, waits until its output shows
+// `ready`, sends SIGTERM and returns the exit code.
+int KillStreamWhen(const std::string& args, const std::string& ready,
+                   const std::string& out) {
+  return ExitCode("(" + BinaryPath("crowdtruth_stream") + " " + args +
+                  " > " + out + " 2>&1 & pid=$!; for i in $(seq 1 600); do "
+                  "grep -q '" + ready + "' " + out + " && break; "
+                  "sleep 0.05; done; kill -TERM $pid; wait $pid)");
+}
+
+// SIGTERM during --metrics_linger ends the run at the next tick with exit
+// 0, and both artifact dumps are still written.
+TEST(CliTest, StreamSigtermDuringLingerWritesArtifacts) {
+  const std::string out = TempPath("cli_stream_linger.txt");
+  const std::string metrics = TempPath("cli_stream_linger.prom");
+  const std::string trace = TempPath("cli_stream_linger_trace.json");
+  std::remove(metrics.c_str());
+  std::remove(trace.c_str());
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(KillStreamWhen("--simulate=D_Product --scale=0.05 --method=MV "
+                           "--metrics_port=0 --metrics_linger=60 "
+                           "--metrics_out=" + metrics +
+                               " --trace_out=" + trace,
+                           "metrics: lingering", out),
+            0)
+      << ReadFile(out);
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::seconds(30));
+  EXPECT_NE(ReadFile(metrics).find("crowdtruth_stream_answers_total"),
+            std::string::npos);
+  EXPECT_NE(ReadFile(metrics).find("crowdtruth_process_peak_rss_bytes"),
+            std::string::npos);
+  EXPECT_NE(ReadFile(trace).find("traceEvents"), std::string::npos);
+  std::remove(out.c_str());
+  std::remove(metrics.c_str());
+  std::remove(trace.c_str());
+}
+
+// SIGTERM mid-replay stops at the next record: exit 1 with a message, and
+// the dumps are still written. A resync after every answer keeps the
+// replay running for seconds, long past the kill.
+TEST(CliTest, StreamSigtermMidReplayFailsAndWritesArtifacts) {
+  const std::string out = TempPath("cli_stream_midreplay.txt");
+  const std::string metrics = TempPath("cli_stream_midreplay.prom");
+  std::remove(metrics.c_str());
+  EXPECT_EQ(KillStreamWhen("--simulate=D_Product --scale=0.3 --method=ZC "
+                           "--resync_interval=1 --metrics_port=0 "
+                           "--metrics_out=" + metrics,
+                           "metrics: serving", out),
+            1)
+      << ReadFile(out);
+  EXPECT_NE(ReadFile(out).find("interrupted by signal"), std::string::npos)
+      << ReadFile(out);
+  EXPECT_NE(ReadFile(metrics).find("crowdtruth_stream_answers_total"),
+            std::string::npos);
+  std::remove(out.c_str());
+  std::remove(metrics.c_str());
 }
 
 }  // namespace

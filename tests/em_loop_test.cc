@@ -1,16 +1,19 @@
 // Unit tests for the shared Algorithm-1 driver (core/em_loop.h): step
 // ordering, the three convergence rules, min_iterations, trace recording,
-// and the delta_needed contract of the measure callback.
+// phase timing, and the delta_needed contract of the measure callback.
 #include "core/em_loop.h"
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/inference.h"
 #include "core/trace.h"
+#include "obs/metrics.h"
 #include "util/parallel.h"
 
 namespace crowdtruth::core {
@@ -154,6 +157,51 @@ TEST(RunEmLoopTest, DeltaNeededWhenTracing) {
   EXPECT_DOUBLE_EQ(sink.events()[0].delta, 0.5);
   EXPECT_EQ(sink.events()[2].iteration, 3);
   EXPECT_DOUBLE_EQ(sink.events()[2].delta, 1.5);
+}
+
+TEST(RunEmLoopTest, PhaseSecondsFeedTraceAndMetricsFromOneReading) {
+  const auto sleep_ms = [](int ms) {
+    return [ms](const EmContext&) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+    };
+  };
+  CollectingTraceSink sink;
+  EmDriver driver = BasicDriver();
+  driver.convergence = EmConvergence::kFixedIterations;
+  driver.max_iterations = 3;
+  driver.trace = &sink;
+  driver.method = "em_loop_test_phases";
+  // Phases may repeat within an iteration; each run accumulates into its
+  // own phase.
+  std::vector<EmStep> steps;
+  steps.push_back({TracePhase::kQualityStep, sleep_ms(1)});
+  steps.push_back({TracePhase::kTruthStep, sleep_ms(4)});
+  steps.push_back({TracePhase::kTruthStep, sleep_ms(4)});
+
+  obs::MetricRegistry registry;
+  obs::InstallProcessMetrics(&registry);
+  RunEmLoop(driver, steps, [](bool) { return 0.5; });
+  obs::InstallProcessMetrics(nullptr);
+
+  ASSERT_EQ(sink.events().size(), 3u);
+  double truth_total = 0.0;
+  double quality_total = 0.0;
+  for (const IterationEvent& event : sink.events()) {
+    EXPECT_GE(event.truth_seconds, 0.008);
+    EXPECT_GE(event.quality_seconds, 0.001);
+    truth_total += event.truth_seconds;
+    quality_total += event.quality_seconds;
+  }
+  const auto counter = [&registry](const char* name) {
+    obs::Family<obs::Counter>* family = registry.FindCounterFamily(name);
+    return family == nullptr
+               ? -1.0
+               : family->WithLabels({"em_loop_test_phases"}).Value();
+  };
+  // Same readings, summed in the same order: exactly equal.
+  EXPECT_EQ(counter("crowdtruth_em_truth_step_seconds_total"), truth_total);
+  EXPECT_EQ(counter("crowdtruth_em_quality_step_seconds_total"),
+            quality_total);
 }
 
 TEST(RunEmLoopTest, ContextExposesIterationIndex) {

@@ -199,6 +199,8 @@ TEST(WorkerStatsTest, BucketValuesClampsAndCounts) {
 #include <string>
 #include <thread>
 
+#include "obs/artifacts.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/resource_sampler.h"
 
@@ -535,6 +537,41 @@ TEST(WriteMetricsFileTest, UnwritablePathIsIoError) {
         WriteMetricsFile(::testing::TempDir() + name, registry);
     EXPECT_EQ(status.code(), util::StatusCode::kIoError) << name;
   }
+}
+
+TEST(ArtifactScopeTest, InstallsForItsLifetimeAndDumpsOnFinish) {
+  const std::string metrics = ::testing::TempDir() + "/scope_metrics.prom";
+  const std::string trace = ::testing::TempDir() + "/scope_trace.json";
+  {
+    ArtifactScope scope({.metrics_out = metrics, .trace_out = trace});
+    EXPECT_EQ(ProcessMetrics(), &scope.registry());
+    EXPECT_NE(ProcessFlightRecorder(), nullptr);
+    EXPECT_EQ(scope.Finish(0), 0);
+    EXPECT_EQ(ProcessMetrics(), nullptr);
+    EXPECT_EQ(ProcessFlightRecorder(), nullptr);
+  }
+  EXPECT_NE(ReadWholeFile(metrics).find("crowdtruth_process_peak_rss_bytes"),
+            std::string::npos);
+  EXPECT_NE(ReadWholeFile(trace).find("traceEvents"), std::string::npos);
+  std::remove(metrics.c_str());
+  std::remove(trace.c_str());
+}
+
+TEST(ArtifactScopeTest, FailedDumpRaisesOnlyASuccessCode) {
+  ArtifactScope scope(
+      {.metrics_out = ::testing::TempDir() + "/no/such/dir/m.prom"});
+  EXPECT_EQ(scope.Finish(0), 1);
+  EXPECT_EQ(scope.Finish(2), 2);
+}
+
+TEST(ArtifactScopeTest, EarlyExitUninstallsWithoutDumps) {
+  {
+    ArtifactScope scope({.metrics = true, .trace = true});
+    EXPECT_EQ(ProcessMetrics(), &scope.registry());
+    EXPECT_NE(ProcessFlightRecorder(), nullptr);
+  }
+  EXPECT_EQ(ProcessMetrics(), nullptr);
+  EXPECT_EQ(ProcessFlightRecorder(), nullptr);
 }
 
 TEST(ProcessMetricsTest, InstallAndClear) {

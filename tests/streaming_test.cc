@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include "core/registry.h"
+#include "core/trace.h"
+#include "obs/tdigest.h"
 #include "simulation/profiles.h"
 #include "streaming/engine.h"
 #include "streaming/incremental.h"
@@ -216,6 +218,35 @@ TEST(StreamEngineTest, PeriodicResyncFiresOnInterval) {
   EXPECT_EQ(engine.stats().answers, 35);
   EXPECT_EQ(engine.stats().resyncs, 3);
   EXPECT_EQ(engine.stats().observe_latency.count(), 35);
+}
+
+// The per-answer latency stats are a bounded sketch: a long stream keeps
+// an exact count and sum (the sum is what resync trace events attribute)
+// in a centroid list that does not grow with the answers.
+TEST(StreamEngineTest, ObserveLatencyStaysBoundedOverLongStream) {
+  constexpr int kAnswers = 20000;
+  CategoricalStreamEngine engine(MakeIncrementalCategorical("MV", 2, {}),
+                                 EngineConfig{/*resync_interval=*/5000});
+  core::CollectingTraceSink trace;
+  engine.set_trace(&trace);
+  for (int i = 0; i < kAnswers; ++i) {
+    ASSERT_TRUE(engine
+                    .Observe("t" + std::to_string(i % 2000),
+                             "w" + std::to_string(i / 2000), i % 2)
+                    .ok());
+  }
+  const obs::TDigest& latency = engine.stats().observe_latency;
+  EXPECT_EQ(latency.count(), kAnswers);
+  ASSERT_EQ(trace.events().size(), 4u);
+  double traced = 0.0;
+  for (const core::IterationEvent& event : trace.events()) {
+    traced += event.truth_seconds;
+  }
+  EXPECT_NEAR(traced, latency.sum(), 1e-12);
+  EXPECT_LE(latency.Centroids().size(),
+            static_cast<size_t>(2 * latency.compression()));
+  EXPECT_GT(latency.max(), 0.0);
+  EXPECT_LE(latency.Quantile(0.5), latency.max());
 }
 
 TEST(StreamEngineTest, RejectsDuplicateAnswerLeavingStateUntouched) {

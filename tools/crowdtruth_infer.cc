@@ -37,10 +37,7 @@
 #include "data/io.h"
 #include "data/validate.h"
 #include "experiments/runner.h"
-#include "obs/flight_recorder.h"
-#include "obs/metrics.h"
-#include "obs/resource_sampler.h"
-#include "obs/trace_export.h"
+#include "obs/artifacts.h"
 #include "util/csv.h"
 #include "util/flags.h"
 #include "util/json_writer.h"
@@ -292,19 +289,9 @@ int main(int argc, char** argv) {
     std::cerr << "error: --answers is required (or --method=list)\n";
     return 2;
   }
-  // The registry outlives the run; instrumentation sites read it through
-  // ProcessMetrics() and must never observe a dangling pointer.
-  crowdtruth::obs::MetricRegistry registry;
-  const std::string metrics_out = flags.Get("metrics_out");
-  if (!metrics_out.empty()) {
-    crowdtruth::obs::RegisterProcessCollectors(&registry);
-    crowdtruth::obs::InstallProcessMetrics(&registry);
-  }
-  // Same lifetime discipline as the registry: spans read the recorder
-  // through ProcessFlightRecorder(), armed only when --trace_out asks.
-  crowdtruth::obs::FlightRecorder recorder;
-  const std::string trace_out = flags.Get("trace_out");
-  if (!trace_out.empty()) crowdtruth::obs::InstallFlightRecorder(&recorder);
+  crowdtruth::obs::ArtifactScope artifacts(
+      {.metrics_out = flags.Get("metrics_out"),
+       .trace_out = flags.Get("trace_out")});
   int code;
   if (flags.Get("type") == "numeric") {
     code = RunNumeric(flags);
@@ -314,27 +301,5 @@ int main(int argc, char** argv) {
     std::cerr << "error: --type must be categorical or numeric\n";
     code = 2;
   }
-  if (!metrics_out.empty()) {
-    crowdtruth::obs::InstallProcessMetrics(nullptr);
-    const crowdtruth::util::Status dump =
-        crowdtruth::obs::WriteMetricsFile(metrics_out, registry);
-    if (!dump.ok()) {
-      std::cerr << "error: " << dump.ToString() << '\n';
-      if (code == 0) code = 1;
-    } else {
-      std::cout << "wrote metrics to " << metrics_out << '\n';
-    }
-  }
-  if (!trace_out.empty()) {
-    crowdtruth::obs::InstallFlightRecorder(nullptr);
-    const crowdtruth::util::Status status =
-        crowdtruth::obs::WriteTraceFile(trace_out, recorder);
-    if (!status.ok()) {
-      std::cerr << "error: " << status.ToString() << '\n';
-      if (code == 0) code = 1;
-    } else {
-      std::cout << "wrote trace to " << trace_out << '\n';
-    }
-  }
-  return code;
+  return artifacts.Finish(code);
 }

@@ -37,15 +37,13 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "data/answer_log.h"
-#include "obs/flight_recorder.h"
-#include "obs/metrics.h"
-#include "obs/resource_sampler.h"
-#include "obs/trace_export.h"
+#include "obs/artifacts.h"
 #include "scenario/buggify.h"
 #include "scenario/workload.h"
 #include "shard/checkpoint.h"
@@ -375,44 +373,31 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Same buggify arming as crowdtruth_shard: flag beats environment.
-  std::string buggify_tag = "-";
-  if (!flags.Get("buggify_seed").empty()) {
-    const std::string& seed_text = flags.Get("buggify_seed");
-    char* end = nullptr;
-    const unsigned long long seed =
-        std::strtoull(seed_text.c_str(), &end, 10);
-    if (end == seed_text.c_str() || *end != '\0') {
-      std::cerr << "error: --buggify_seed must be an unsigned integer\n";
-      return 2;
-    }
-    scenario::BuggifyConfig buggify;
-    buggify.seed = seed;
-    buggify.activate_probability = flags.GetDouble("buggify_activate") / 100.0;
-    buggify.fire_probability = flags.GetDouble("buggify_fire") / 100.0;
-    scenario::EnableBuggify(buggify);
-  } else {
-    scenario::BuggifyInitFromEnv();
+  // Same buggify arming as crowdtruth_shard: flag beats environment. The
+  // armed seed joins the cache tag, so cells computed under one fault
+  // schedule are never reused under another.
+  std::optional<uint64_t> buggify_seed;
+  const Status armed = scenario::ArmBuggify(
+      flags.Get("buggify_seed"), flags.GetDouble("buggify_activate"),
+      flags.GetDouble("buggify_fire"), &buggify_seed);
+  if (!armed.ok()) {
+    std::cerr << "error: " << armed.ToString() << '\n';
+    return 2;
   }
-  if (scenario::BuggifyEnabled()) {
+  std::string buggify_tag = "-";
+  if (buggify_seed.has_value()) {
     std::cout << "buggify: "
               << (scenario::kBuggifyCompiledIn ? "enabled" : "compiled out")
               << '\n';
-    buggify_tag = std::to_string(flags.GetInt("buggify_seed"));
+    buggify_tag = std::to_string(*buggify_seed);
   }
 
   // Observability surfaces, armed per flag: the registry feeds
   // --metrics_out (matrix cells drive the full EM + shard instrumentation),
   // the flight recorder feeds --trace_out.
-  crowdtruth::obs::MetricRegistry registry;
-  const std::string metrics_out = flags.Get("metrics_out");
-  if (!metrics_out.empty()) {
-    crowdtruth::obs::RegisterProcessCollectors(&registry);
-    crowdtruth::obs::InstallProcessMetrics(&registry);
-  }
-  crowdtruth::obs::FlightRecorder recorder;
-  const std::string trace_out = flags.Get("trace_out");
-  if (!trace_out.empty()) crowdtruth::obs::InstallFlightRecorder(&recorder);
+  crowdtruth::obs::ArtifactScope artifacts(
+      {.metrics_out = flags.Get("metrics_out"),
+       .trace_out = flags.Get("trace_out")});
 
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed"));
   const int64_t barrier_interval = flags.GetInt("barrier_interval");
@@ -560,28 +545,5 @@ int main(int argc, char** argv) {
             << (consistent ? "all policies consistent"
                            : "POLICY FINGERPRINTS DISAGREE")
             << "; summary in " << out_dir << "/matrix_summary.json\n";
-  int code = consistent ? 0 : 1;
-  if (!metrics_out.empty()) {
-    crowdtruth::obs::InstallProcessMetrics(nullptr);
-    const Status dump =
-        crowdtruth::obs::WriteMetricsFile(metrics_out, registry);
-    if (!dump.ok()) {
-      std::cerr << "error: " << dump.ToString() << '\n';
-      if (code == 0) code = 1;
-    } else {
-      std::cout << "wrote metrics to " << metrics_out << '\n';
-    }
-  }
-  if (!trace_out.empty()) {
-    crowdtruth::obs::InstallFlightRecorder(nullptr);
-    const Status dump =
-        crowdtruth::obs::WriteTraceFile(trace_out, recorder);
-    if (!dump.ok()) {
-      std::cerr << "error: " << dump.ToString() << '\n';
-      if (code == 0) code = 1;
-    } else {
-      std::cout << "wrote trace to " << trace_out << '\n';
-    }
-  }
-  return code;
+  return artifacts.Finish(consistent ? 0 : 1);
 }

@@ -46,10 +46,7 @@
 #include <iostream>
 #include <string>
 
-#include "obs/flight_recorder.h"
-#include "obs/metrics.h"
-#include "obs/resource_sampler.h"
-#include "obs/trace_export.h"
+#include "obs/artifacts.h"
 #include "server/server.h"
 #include "util/flags.h"
 
@@ -116,15 +113,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  crowdtruth::obs::MetricRegistry registry;
-  crowdtruth::obs::RegisterProcessCollectors(&registry);
-  crowdtruth::obs::InstallProcessMetrics(&registry);
-  // Always-on flight recorder: bounded per-thread rings, so the cost is a
-  // fixed memory budget and GET /debug/trace works out of the box.
-  crowdtruth::obs::FlightRecorder recorder;
-  crowdtruth::obs::InstallFlightRecorder(&recorder);
+  // Always-on registry and flight recorder (bounded per-thread rings), so
+  // /metrics and GET /debug/trace work out of the box.
+  crowdtruth::obs::ArtifactScope artifacts(
+      {.metrics_out = flags.Get("metrics_out"),
+       .trace_out = flags.Get("trace_out"),
+       .metrics = true,
+       .trace = true});
 
-  crowdtruth::server::StreamingServer server(config, &registry);
+  crowdtruth::server::StreamingServer server(config, &artifacts.registry());
   const crowdtruth::util::Status started = server.Start();
   if (!started.ok()) {
     std::cerr << "error: " << started.ToString() << '\n';
@@ -149,28 +146,5 @@ int main(int argc, char** argv) {
   server.Stop();
 
   // Clean-shutdown artifacts (SIGTERM/SIGINT/--duration all land here).
-  int exit_code = 0;
-  if (!flags.Get("metrics_out").empty()) {
-    const crowdtruth::util::Status dump =
-        crowdtruth::obs::WriteMetricsFile(flags.Get("metrics_out"), registry);
-    if (!dump.ok()) {
-      std::cerr << "error: " << dump.ToString() << '\n';
-      exit_code = 1;
-    } else {
-      std::cout << "wrote metrics to " << flags.Get("metrics_out") << '\n';
-    }
-  }
-  if (!flags.Get("trace_out").empty()) {
-    const crowdtruth::util::Status status =
-        crowdtruth::obs::WriteTraceFile(flags.Get("trace_out"), recorder);
-    if (!status.ok()) {
-      std::cerr << "error: " << status.ToString() << '\n';
-      exit_code = 1;
-    } else {
-      std::cout << "wrote trace to " << flags.Get("trace_out") << '\n';
-    }
-  }
-  crowdtruth::obs::InstallFlightRecorder(nullptr);
-  crowdtruth::obs::InstallProcessMetrics(nullptr);
-  return exit_code;
+  return artifacts.Finish(0);
 }

@@ -36,6 +36,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -44,9 +45,8 @@
 #include <vector>
 
 #include "data/answer_log.h"
-#include "obs/flight_recorder.h"
+#include "obs/artifacts.h"
 #include "obs/metrics.h"
-#include "obs/trace_export.h"
 #include "scenario/buggify.h"
 #include "shard/checkpoint.h"
 #include "shard/coordinator.h"
@@ -610,6 +610,45 @@ int RunMerge(const Flags& flags,
   return FinishGlobal(flags, *coordinator, global, skipped);
 }
 
+// --mode=worker runs one shard over its slice; --mode=merge verifies the
+// workers' final states and produces the global truth.
+int RunMode(const Flags& flags, const std::string& mode) {
+  if (mode == "worker") {
+    // A worker only sees its slice, so the label space cannot be inferred
+    // from the data — it must come from the flag or the log header.
+    data::AnswerLogReader reader;
+    const Status status = reader.Open(flags.Get("log"));
+    if (!status.ok()) return FailStatus(status);
+    const bool categorical =
+        reader.header().type == data::AnswerLogType::kCategorical;
+    int num_choices = 0;
+    if (categorical) {
+      num_choices = flags.GetInt("num_choices") > 0
+                        ? flags.GetInt("num_choices")
+                        : reader.header().num_choices;
+      if (num_choices < 2) {
+        std::cerr << "error: worker mode needs --num_choices (the log "
+                     "header carries none)\n";
+        return 2;
+      }
+    }
+    return categorical
+               ? RunWorker<streaming::IncrementalCategoricalMethod>(
+                     flags, num_choices)
+               : RunWorker<streaming::IncrementalNumericMethod>(flags, 0);
+  }
+  data::AnswerLogHeader header;
+  std::vector<data::AnswerLogRecord> records;
+  const Status status = data::ReadAnswerLog(flags.Get("log"), &header,
+                                            &records);
+  if (!status.ok()) return FailStatus(status);
+  if (header.type == data::AnswerLogType::kCategorical) {
+    return RunMerge<shard::CategoricalShardCoordinator>(
+        flags, records, ResolveNumChoices(flags, header, records));
+  }
+  return RunMerge<shard::NumericShardCoordinator>(flags, records, 0);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -659,98 +698,24 @@ int main(int argc, char** argv) {
   // without -DCROWDTRUTH_BUGGIFY=ON the schedule is still armed — the
   // sites just compile to `false` — so runs report "compiled out" and the
   // fault log stays empty.
-  if (!flags.Get("buggify_seed").empty()) {
-    const std::string& seed_text = flags.Get("buggify_seed");
-    char* end = nullptr;
-    const unsigned long long seed =
-        std::strtoull(seed_text.c_str(), &end, 10);
-    if (end == seed_text.c_str() || *end != '\0') {
-      std::cerr << "error: --buggify_seed must be an unsigned integer\n";
-      return 2;
-    }
-    scenario::BuggifyConfig buggify;
-    buggify.seed = seed;
-    buggify.activate_probability = flags.GetDouble("buggify_activate") / 100.0;
-    buggify.fire_probability = flags.GetDouble("buggify_fire") / 100.0;
-    scenario::EnableBuggify(buggify);
-  } else {
-    scenario::BuggifyInitFromEnv();
+  std::optional<uint64_t> buggify_seed;
+  const Status armed = scenario::ArmBuggify(
+      flags.Get("buggify_seed"), flags.GetDouble("buggify_activate"),
+      flags.GetDouble("buggify_fire"), &buggify_seed);
+  if (!armed.ok()) {
+    std::cerr << "error: " << armed.ToString() << '\n';
+    return 2;
   }
-  if (scenario::BuggifyEnabled()) {
+  if (buggify_seed.has_value()) {
     std::cout << "buggify: "
               << (scenario::kBuggifyCompiledIn ? "enabled" : "compiled out")
               << '\n';
   }
 
-  crowdtruth::obs::MetricRegistry registry;
-  const std::string metrics_out = flags.Get("metrics_out");
-  if (!metrics_out.empty()) {
-    crowdtruth::obs::InstallProcessMetrics(&registry);
-  }
-  // Span tracing: armed only when --trace_out asks for a dump.
-  crowdtruth::obs::FlightRecorder recorder;
-  const std::string trace_out = flags.Get("trace_out");
-  if (!trace_out.empty()) crowdtruth::obs::InstallFlightRecorder(&recorder);
-
-  int code;
-  if (mode == "worker") {
-    // A worker only sees its slice, so the label space cannot be inferred
-    // from the data — it must come from the flag or the log header.
-    data::AnswerLogReader reader;
-    const Status status = reader.Open(flags.Get("log"));
-    if (!status.ok()) return FailStatus(status);
-    const bool categorical =
-        reader.header().type == data::AnswerLogType::kCategorical;
-    int num_choices = 0;
-    if (categorical) {
-      num_choices = flags.GetInt("num_choices") > 0
-                        ? flags.GetInt("num_choices")
-                        : reader.header().num_choices;
-      if (num_choices < 2) {
-        std::cerr << "error: worker mode needs --num_choices (the log "
-                     "header carries none)\n";
-        return 2;
-      }
-    }
-    code = categorical
-               ? RunWorker<streaming::IncrementalCategoricalMethod>(
-                     flags, num_choices)
-               : RunWorker<streaming::IncrementalNumericMethod>(flags, 0);
-  } else {
-    data::AnswerLogHeader header;
-    std::vector<data::AnswerLogRecord> records;
-    const Status status = data::ReadAnswerLog(flags.Get("log"), &header,
-                                              &records);
-    if (!status.ok()) return FailStatus(status);
-    if (header.type == data::AnswerLogType::kCategorical) {
-      code = RunMerge<shard::CategoricalShardCoordinator>(
-          flags, records, ResolveNumChoices(flags, header, records));
-    } else {
-      code = RunMerge<shard::NumericShardCoordinator>(flags, records, 0);
-    }
-  }
-
-  if (!metrics_out.empty()) {
-    crowdtruth::obs::InstallProcessMetrics(nullptr);
-    const Status dump =
-        crowdtruth::obs::WriteMetricsFile(metrics_out, registry);
-    if (!dump.ok()) {
-      std::cerr << "error: " << dump.ToString() << '\n';
-      if (code == 0) code = 1;
-    } else {
-      std::cout << "wrote metrics to " << metrics_out << '\n';
-    }
-  }
-  if (!trace_out.empty()) {
-    crowdtruth::obs::InstallFlightRecorder(nullptr);
-    const Status dump = crowdtruth::obs::WriteTraceFile(trace_out, recorder);
-    if (!dump.ok()) {
-      std::cerr << "error: " << dump.ToString() << '\n';
-      if (code == 0) code = 1;
-    } else {
-      std::cout << "wrote trace to " << trace_out << '\n';
-    }
-  }
+  crowdtruth::obs::ArtifactScope artifacts(
+      {.metrics_out = flags.Get("metrics_out"),
+       .trace_out = flags.Get("trace_out")});
+  int code = artifacts.Finish(RunMode(flags, mode));
   // Written even when buggify is off or compiled out (an empty log plus
   // "total 0"), so harnesses can diff fault logs unconditionally; and even
   // on an injected-crash exit, so each incarnation's schedule is auditable.

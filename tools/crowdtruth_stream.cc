@@ -44,6 +44,11 @@
 // of a fast replay); --metrics_out dumps the registry to a file on exit
 // (Prometheus text, or JSON when the path ends in ".json").
 //
+// SIGINT/SIGTERM end the run cleanly and still write --metrics_out and
+// --trace_out: during the replay it stops at the next record and exits 1
+// ("interrupted by signal"); during --metrics_linger or the --serve_port
+// phase it stops at the next loop tick and exits 0.
+//
 // --shards=N (> 1), --checkpoint_every=N or --resume_from=PATH switch the
 // replay onto the in-process shard coordinator (src/shard/): tasks are
 // hash-partitioned across N engines, a cross-shard worker-summary barrier
@@ -86,11 +91,10 @@
 
 #include "core/trace.h"
 #include "data/answer_log.h"
-#include "scenario/buggify.h"
-#include "obs/flight_recorder.h"
+#include "obs/artifacts.h"
 #include "obs/metrics.h"
-#include "obs/resource_sampler.h"
-#include "obs/trace_export.h"
+#include "obs/tdigest.h"
+#include "scenario/buggify.h"
 #include "server/server.h"
 #include "shard/checkpoint.h"
 #include "shard/coordinator.h"
@@ -123,8 +127,21 @@ crowdtruth::server::StreamingServer* g_metrics_server = nullptr;
 // tenant; set only while Run() is blocking, for the signal handler.
 crowdtruth::server::StreamingServer* g_serve_server = nullptr;
 
-void HandleServeSignal(int /*sig*/) {
+// Set by SIGINT/SIGTERM. The replay loops stop at the next record (the
+// run then fails), the metrics linger at the next tick and the serving
+// phase at its next loop wakeup; main still writes the artifact dumps.
+volatile std::sig_atomic_t g_interrupted = 0;
+
+void HandleSignal(int /*sig*/) {
+  g_interrupted = 1;
+  // Async-signal-safe: one atomic store; epoll_wait's EINTR wakes the loop.
   if (g_serve_server != nullptr) g_serve_server->RequestStop();
+}
+
+int ReportInterrupted(int64_t replayed) {
+  std::cerr << "error: interrupted by signal after " << replayed
+            << " replayed answers\n";
+  return 1;
 }
 
 // The stream: records keyed by string ids; `label` is used for categorical
@@ -359,6 +376,7 @@ int RunStream(const Flags& flags, const StreamInput& input, Engine& engine,
   int64_t skipped = 0;
   int64_t replayed = 0;
   for (const data::AnswerLogRecord& record : input.records) {
+    if (g_interrupted) return ReportInterrupted(replayed);
     const Status status =
         engine.Observe(record.task, record.worker, payload(record));
     if (!status.ok()) {
@@ -382,7 +400,7 @@ int RunStream(const Flags& flags, const StreamInput& input, Engine& engine,
       std::cout << "[stream] answers=" << engine.stats().answers
                 << quality_line(engine) << " p50_observe="
                 << TablePrinter::Fixed(
-                       engine.stats().observe_latency.Percentile(50.0) * 1e6,
+                       engine.stats().observe_latency.Quantile(0.5) * 1e6,
                        1)
                 << "us resyncs=" << engine.stats().resyncs << '\n';
     }
@@ -431,7 +449,15 @@ JsonValue BaseReport(const Flags& flags, const StreamInput& input,
   report.Set("resync_interval", flags.GetInt("resync_interval"));
   report.Set("resyncs", engine.stats().resyncs);
   report.Set("resync_seconds", engine.stats().resync_seconds);
-  report.Set("observe_latency", engine.stats().observe_latency.ToJson());
+  const crowdtruth::obs::TDigest& observe = engine.stats().observe_latency;
+  JsonValue latency = JsonValue::Object();
+  latency.Set("count", observe.count());
+  latency.Set("total_seconds", observe.sum());
+  latency.Set("mean_seconds", observe.mean());
+  latency.Set("p50_seconds", observe.Quantile(0.5));
+  latency.Set("p99_seconds", observe.Quantile(0.99));
+  latency.Set("max_seconds", observe.max());
+  report.Set("observe_latency", std::move(latency));
   return report;
 }
 
@@ -533,11 +559,9 @@ int ServeAdopted(
                           [&serve]() { serve.RequestStop(); });
   }
   g_serve_server = &serve;
-  std::signal(SIGINT, HandleServeSignal);
-  std::signal(SIGTERM, HandleServeSignal);
   std::cout << "serving replayed engine as tenant \"default\" on "
             << "http://127.0.0.1:" << serve.port() << std::endl;
-  serve.Run();
+  if (!g_interrupted) serve.Run();
   g_serve_server = nullptr;
   serve.Stop();
   return 0;
@@ -758,6 +782,7 @@ int RunSharded(const Flags& flags, const StreamInput& input,
                 << " barriers=" << coordinator->barriers_run() << '\n';
     }
     if (g_metrics_server != nullptr) g_metrics_server->RunOnce(0);
+    return !g_interrupted;
   };
   status = shard::ReplayRange(input.records, coordinator->next_sequence(),
                               static_cast<int64_t>(input.records.size()),
@@ -766,6 +791,7 @@ int RunSharded(const Flags& flags, const StreamInput& input,
     std::cerr << "error: " << status.ToString() << '\n';
     return 1;
   }
+  if (g_interrupted) return ReportInterrupted(counts.replayed);
 
   typename Coordinator::BatchResult global;
   const bool final_resync = flags.GetBool("final_resync");
@@ -947,6 +973,8 @@ int main(int argc, char** argv) {
     std::cerr << "error: exactly one of --log or --simulate is required\n";
     return 2;
   }
+  std::signal(SIGINT, HandleSignal);
+  std::signal(SIGTERM, HandleSignal);
   // Arm fault injection from CROWDTRUTH_BUGGIFY_SEED (a no-op unless the
   // build compiled the sites in) before any answer-log read can happen.
   crowdtruth::scenario::BuggifyInitFromEnv();
@@ -968,25 +996,18 @@ int main(int argc, char** argv) {
 
   // Metrics: install the process-wide registry when any metrics surface is
   // requested, and start the live metrics server when --metrics_port >= 0.
-  crowdtruth::obs::MetricRegistry registry;
   const int metrics_port = flags.GetInt("metrics_port");
-  const std::string metrics_out = flags.Get("metrics_out");
-  if (metrics_port >= 0 || !metrics_out.empty() ||
-      flags.GetInt("serve_port") >= 0) {
-    crowdtruth::obs::RegisterProcessCollectors(&registry);
-    crowdtruth::obs::InstallProcessMetrics(&registry);
-  }
-  // Span tracing: armed only when --trace_out asks for a dump.
-  crowdtruth::obs::FlightRecorder recorder;
-  const std::string trace_out = flags.Get("trace_out");
-  if (!trace_out.empty()) crowdtruth::obs::InstallFlightRecorder(&recorder);
+  crowdtruth::obs::ArtifactScope artifacts(
+      {.metrics_out = flags.Get("metrics_out"),
+       .trace_out = flags.Get("trace_out"),
+       .metrics = metrics_port >= 0 || flags.GetInt("serve_port") >= 0});
   std::unique_ptr<crowdtruth::server::StreamingServer> metrics_server;
   if (metrics_port >= 0) {
     crowdtruth::server::ServerConfig config;
     config.port = metrics_port;
     config.controller_enabled = false;
     metrics_server = std::make_unique<crowdtruth::server::StreamingServer>(
-        config, &registry);
+        config, &artifacts.registry());
     const Status started = metrics_server->Start();
     if (!started.ok()) {
       std::cerr << "error: " << started.ToString() << '\n';
@@ -1020,35 +1041,14 @@ int main(int argc, char** argv) {
   if (metrics_server != nullptr) {
     if (linger > 0) {
       std::cout << "metrics: lingering " << TablePrinter::Fixed(linger, 1)
-                << "s on port " << metrics_server->port() << '\n';
+                << "s on port " << metrics_server->port() << std::endl;
       crowdtruth::util::Stopwatch stopwatch;
-      while (stopwatch.ElapsedSeconds() < linger) {
+      while (!g_interrupted && stopwatch.ElapsedSeconds() < linger) {
         metrics_server->RunOnce(/*max_wait_ms=*/50);
       }
     }
     g_metrics_server = nullptr;
     metrics_server->Stop();
   }
-  if (!metrics_out.empty()) {
-    crowdtruth::obs::InstallProcessMetrics(nullptr);
-    const Status dump =
-        crowdtruth::obs::WriteMetricsFile(metrics_out, registry);
-    if (!dump.ok()) {
-      std::cerr << "error: " << dump.ToString() << '\n';
-      if (code == 0) code = 1;
-    } else {
-      std::cout << "wrote metrics to " << metrics_out << '\n';
-    }
-  }
-  if (!trace_out.empty()) {
-    crowdtruth::obs::InstallFlightRecorder(nullptr);
-    const Status dump = crowdtruth::obs::WriteTraceFile(trace_out, recorder);
-    if (!dump.ok()) {
-      std::cerr << "error: " << dump.ToString() << '\n';
-      if (code == 0) code = 1;
-    } else {
-      std::cout << "wrote trace to " << trace_out << '\n';
-    }
-  }
-  return code;
+  return artifacts.Finish(code);
 }

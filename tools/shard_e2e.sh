@@ -16,8 +16,8 @@
 #   4. killing one worker mid-run (injected crash, exit 7) and restarting
 #      it from its latest checkpoint still reproduces the same bytes;
 #   5. the sharded crowdtruth_stream --metrics_out dump carries the
-#      per-shard crowdtruth_shard_* families and passes the exposition
-#      checker;
+#      per-shard crowdtruth_shard_* families and the process gauges and
+#      passes the exposition checker;
 #   6. Buggify (src/scenario/buggify.h) is deterministic: the same
 #      CROWDTRUTH_BUGGIFY_SEED produces an identical fault log (the
 #      "buggify_faults" list of crowdtruth_stream's --json_out report) and
@@ -173,7 +173,8 @@ python3 tools/check_metrics_exposition.py "$WORK/shard_metrics.prom" \
               crowdtruth_shard_summary_bytes_total \
               crowdtruth_shard_checkpoints_total \
               crowdtruth_shard_checkpoint_seconds \
-              crowdtruth_shard_barrier_wait_seconds
+              crowdtruth_shard_barrier_wait_seconds \
+              crowdtruth_process_peak_rss_bytes
 
 # Assertion 6: fault-schedule determinism. Two runs with the same
 # CROWDTRUTH_BUGGIFY_SEED must report byte-identical fault logs, and the
