@@ -116,7 +116,14 @@ void BuggifyInitFromEnv() {
 
 util::Status ArmBuggify(const std::string& seed_flag, double activate_percent,
                         double fire_percent,
-                        std::optional<uint64_t>* armed_seed) {
+                        std::optional<BuggifyConfig>* armed) {
+  for (const double percent : {activate_percent, fire_percent}) {
+    if (!(percent >= 0.0 && percent <= 100.0)) {
+      return util::Status::InvalidArgument(
+          "--buggify_activate and --buggify_fire are percentages in "
+          "[0, 100], got " + std::to_string(percent));
+    }
+  }
   if (seed_flag.empty()) {
     BuggifyInitFromEnv();
   } else {
@@ -137,9 +144,9 @@ util::Status ArmBuggify(const std::string& seed_flag, double activate_percent,
     EnableBuggify(config);
   }
   std::lock_guard<std::mutex> lock(g_mutex);
-  *armed_seed = g_context == nullptr
-                    ? std::nullopt
-                    : std::optional<uint64_t>(g_context->config().seed);
+  *armed = g_context == nullptr
+               ? std::nullopt
+               : std::optional<BuggifyConfig>(g_context->config());
   return util::Status::Ok();
 }
 

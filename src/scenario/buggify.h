@@ -110,12 +110,12 @@ void BuggifyInitFromEnv();
 // Arms the process context for a tool with --buggify_seed flags: a
 // non-empty `seed_flag` (any unsigned 64-bit decimal) wins, with the given
 // activate/fire percentages; an empty one falls back to the environment
-// (BuggifyInitFromEnv). On success *armed_seed is the seed of the armed
-// schedule, or nullopt when buggify stayed off. A malformed flag is
-// kInvalidArgument and arms nothing.
+// (BuggifyInitFromEnv). On success *armed is the configuration of the
+// armed schedule, or nullopt when buggify stayed off. A malformed seed or
+// a percentage outside [0, 100] is kInvalidArgument and arms nothing.
 util::Status ArmBuggify(const std::string& seed_flag, double activate_percent,
                         double fire_percent,
-                        std::optional<uint64_t>* armed_seed);
+                        std::optional<BuggifyConfig>* armed);
 
 // The function behind the CROWDTRUTH_BUGGIFY macro: false unless buggify is
 // enabled, else one visit of `site` under the process context.

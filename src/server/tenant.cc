@@ -225,10 +225,8 @@ util::Status Tenant::Ingest(const std::string& body, IngestResult* result) {
     const auto& [worker, task] = id_strings[record.task];
     status = ObserveAnswer(task, worker, record.label);
     if (!status.ok()) {
-      const bool duplicate =
-          status.message().find("duplicate") != std::string::npos;
       if (reject) return status;
-      if (duplicate) ++result->duplicates;
+      if (streaming::IsDuplicateAnswer(status)) ++result->duplicates;
       ++result->dropped;
       continue;
     }

@@ -96,6 +96,14 @@ Status FsyncDir(const std::string& dir) {
   return status;
 }
 
+// How a layout reads in error messages: "shard 1 of 4, categorical ZC/3"
+// (shard -1 is a coordinator document).
+std::string LayoutText(const CheckpointMeta& meta) {
+  return "shard " + std::to_string(meta.shard_index) + " of " +
+         std::to_string(meta.shard_count) + ", " + meta.kind + " " +
+         meta.method + "/" + std::to_string(meta.num_choices);
+}
+
 }  // namespace
 
 JsonValue MakeCheckpointDoc(const CheckpointMeta& meta,
@@ -169,6 +177,20 @@ Status ParseCheckpointDoc(const JsonValue& doc, CheckpointMeta* meta,
   }
   *shards = array;
   return Status::Ok();
+}
+
+Status CheckCheckpointLayout(const CheckpointMeta& actual,
+                             const CheckpointMeta& expected) {
+  if (actual.shard_count == expected.shard_count &&
+      actual.shard_index == expected.shard_index &&
+      actual.kind == expected.kind && actual.method == expected.method &&
+      (expected.kind != "categorical" ||
+       actual.num_choices == expected.num_choices)) {
+    return Status::Ok();
+  }
+  return Status::InvalidArgument(
+      "written by a different shard layout or method (" + LayoutText(actual) +
+      "; expected " + LayoutText(expected) + ")");
 }
 
 std::string CheckpointFileName(const std::string& prefix,

@@ -60,6 +60,14 @@ util::Status ParseCheckpointDoc(const util::JsonValue& doc,
                                 CheckpointMeta* meta,
                                 const util::JsonValue** shards);
 
+// Checks that a checkpoint was written under the layout `expected`
+// describes: shard_count, shard_index, kind, method and, for categorical
+// runs, num_choices (next_sequence is not compared). A mismatch is
+// kInvalidArgument naming both layouts. Every restore path — coordinator
+// Restore, worker --resume, merge — uses this one comparison.
+util::Status CheckCheckpointLayout(const CheckpointMeta& actual,
+                                   const CheckpointMeta& expected);
+
 // "<prefix>_<next_sequence zero-padded to 12>.json" — zero padding keeps
 // lexicographic and numeric order identical, so `ls` shows checkpoints in
 // replay order.

@@ -117,6 +117,7 @@ class ShardCoordinator {
       coordinator->shard_tasks_.emplace_back();
       coordinator->shard_workers_.emplace_back();
       coordinator->worker_local_.emplace_back();
+      coordinator->shard_answers_.push_back(0);
     }
     *out = std::move(coordinator);
     return util::Status::Ok();
@@ -223,13 +224,8 @@ class ShardCoordinator {
     if (span.armed()) {
       span.Annotate("next_sequence", static_cast<int64_t>(consumed_));
     }
-    CheckpointMeta meta;
-    meta.shard_count = config_.shard_count;
-    meta.shard_index = -1;
+    CheckpointMeta meta = Layout();
     meta.next_sequence = consumed_;
-    meta.method = config_.method;
-    meta.kind = Method::kKind;
-    meta.num_choices = config_.num_choices;
     std::vector<util::JsonValue> snapshots;
     snapshots.reserve(engines_.size());
     for (const auto& engine : engines_) {
@@ -258,23 +254,8 @@ class ShardCoordinator {
     const util::JsonValue* shards = nullptr;
     util::Status status = ParseCheckpointDoc(doc, &meta, &shards);
     if (!status.ok()) return status;
-    if (meta.shard_index != -1) {
-      return util::Status::InvalidArgument(
-          "checkpoint carries a single shard, not a coordinator document");
-    }
-    if (meta.shard_count != config_.shard_count) {
-      return util::Status::InvalidArgument(
-          "checkpoint was taken with shard_count=" +
-          std::to_string(meta.shard_count) + ", this coordinator runs " +
-          std::to_string(config_.shard_count));
-    }
-    if (meta.kind != Method::kKind || meta.method != config_.method ||
-        (kCategorical && meta.num_choices != config_.num_choices)) {
-      return util::Status::InvalidArgument(
-          "checkpoint method " + meta.kind + "/" + meta.method + "/" +
-          std::to_string(meta.num_choices) + " does not match this "
-          "coordinator");
-    }
+    status = CheckCheckpointLayout(meta, Layout());
+    if (!status.ok()) return status;
     for (size_t s = 0; s < engines_.size(); ++s) {
       status = engines_[s]->Restore(shards->items()[s]);
       if (!status.ok()) return status;
@@ -293,6 +274,7 @@ class ShardCoordinator {
       shard_tasks_[s].clear();
       shard_workers_[s].clear();
       worker_local_[s].clear();
+      shard_answers_[s] = 0;
       if (ShardMetricSet* m = Metrics(s)) m->restarts->Increment();
     }
     return util::Status::Ok();
@@ -300,9 +282,9 @@ class ShardCoordinator {
 
   // Rebuilds the routing/global state for one already-consumed record
   // without re-driving the (already restored) engines. Deterministic
-  // rejections are re-derived, not errors; the status is returned so
-  // merge tooling can tell accepted from rejected records, and callers
-  // replaying a checkpointed prefix simply ignore it.
+  // rejections are re-derived, not errors: the returned status tells an
+  // accepted record from a rejected one, and callers replaying a
+  // checkpointed prefix simply ignore it.
   util::Status ReplayRouting(const std::string& task,
                              const std::string& worker, Payload payload) {
     return Route(task, worker, payload, /*drive_engine=*/false);
@@ -314,30 +296,36 @@ class ShardCoordinator {
 
   // Verifies the replayed prefix actually matches the restored engines:
   // every shard's rebuilt task/worker membership must agree with its
-  // engine's interners, id by id.
+  // engine's interners, id by id, and its accepted-answer count with the
+  // answers the engine holds.
   util::Status FinishReplay() const {
+    // True when the local ids, in order, name the replayed global ids.
+    const auto same_ids = [](const streaming::StreamIdInterner& local,
+                             const std::vector<int>& gids,
+                             const streaming::StreamIdInterner& global) {
+      if (static_cast<int>(gids.size()) != local.size()) return false;
+      for (int lid = 0; lid < local.size(); ++lid) {
+        if (local.Name(lid) != global.Name(gids[lid])) return false;
+      }
+      return true;
+    };
     for (size_t s = 0; s < engines_.size(); ++s) {
-      const streaming::StreamIdInterner& tasks = engines_[s]->tasks();
-      const streaming::StreamIdInterner& workers = engines_[s]->workers();
-      if (static_cast<int>(shard_tasks_[s].size()) != tasks.size() ||
-          static_cast<int>(shard_workers_[s].size()) != workers.size()) {
+      const auto mismatch = [s](const std::string& what) {
         return util::Status::InvalidArgument(
             "shard " + std::to_string(s) + ": replayed input prefix does "
-            "not match the checkpoint (task/worker counts differ)");
+            "not match the checkpoint (" + what + ")");
+      };
+      if (!same_ids(engines_[s]->tasks(), shard_tasks_[s], tasks_)) {
+        return mismatch("task ids differ");
       }
-      for (int lid = 0; lid < tasks.size(); ++lid) {
-        if (tasks.Name(lid) != tasks_.Name(shard_tasks_[s][lid])) {
-          return util::Status::InvalidArgument(
-              "shard " + std::to_string(s) + ": replayed task order does "
-              "not match the checkpoint");
-        }
+      if (!same_ids(engines_[s]->workers(), shard_workers_[s], workers_)) {
+        return mismatch("worker ids differ");
       }
-      for (int lid = 0; lid < workers.size(); ++lid) {
-        if (workers.Name(lid) != workers_.Name(shard_workers_[s][lid])) {
-          return util::Status::InvalidArgument(
-              "shard " + std::to_string(s) + ": replayed worker order does "
-              "not match the checkpoint");
-        }
+      const int64_t restored = engines_[s]->method().num_answers();
+      if (restored != shard_answers_[s]) {
+        return mismatch("answer counts differ: " + std::to_string(restored) +
+                        " restored, " + std::to_string(shard_answers_[s]) +
+                        " replayed");
       }
     }
     return util::Status::Ok();
@@ -384,6 +372,17 @@ class ShardCoordinator {
   explicit ShardCoordinator(CoordinatorConfig config)
       : config_(std::move(config)) {}
 
+  // The layout every checkpoint of this coordinator is written under.
+  CheckpointMeta Layout() const {
+    CheckpointMeta meta;
+    meta.shard_count = config_.shard_count;
+    meta.shard_index = -1;
+    meta.method = config_.method;
+    meta.kind = Method::kKind;
+    meta.num_choices = config_.num_choices;
+    return meta;
+  }
+
   static uint64_t PairKey(int task_gid, int worker_gid) {
     return (static_cast<uint64_t>(static_cast<uint32_t>(task_gid)) << 32) |
            static_cast<uint32_t>(worker_gid);
@@ -420,8 +419,8 @@ class ShardCoordinator {
     }
     if (!seen_pairs_.insert(PairKey(task_gid, worker_gid)).second) {
       return util::Status::InvalidArgument(
-          "duplicate answer: worker \"" + worker +
-          "\" already answered task \"" + task + "\"");
+          std::string(streaming::kDuplicateAnswerPrefix) + " worker \"" +
+          worker + "\" already answered task \"" + task + "\"");
     }
 
     if (static_cast<int>(task_owner_.size()) <= task_gid) {
@@ -441,6 +440,7 @@ class ShardCoordinator {
                      static_cast<int>(shard_workers_[owner].size()))
             .second;
     if (new_worker) shard_workers_[owner].push_back(worker_gid);
+    ++shard_answers_[owner];
 
     typename Method::Answer answer;
     answer.task = task_gid;
@@ -561,6 +561,8 @@ class ShardCoordinator {
   std::vector<std::vector<int>> shard_tasks_;
   std::vector<std::vector<int>> shard_workers_;
   std::vector<std::unordered_map<int, int>> worker_local_;
+  // Accepted answers routed to each shard.
+  std::vector<int64_t> shard_answers_;
 
   int64_t consumed_ = 0;
   int64_t barriers_ = 0;

@@ -1,12 +1,13 @@
 // Sharded replay over an answer log: the one restart protocol every
 // whole-log replay through a ShardCoordinator shares (crowdtruth_stream
-// --shards, crowdtruth_matrix's policies, the tests).
+// --shards, crowdtruth_shard --mode=merge, crowdtruth_matrix's policies,
+// the tests).
 //
 //   Resume       Restore the checkpoint, reject one whose next_sequence
 //                lies past the end of the log (typed kValidationError),
 //                ReplayRouting over the consumed prefix, FinishReplay —
 //                which verifies the rebuilt routing matches the restored
-//                engines id by id.
+//                engines id by id, and each shard's answer count.
 //   ReplayRange  Observe over [begin, end). After each record, when
 //                next_sequence() is a multiple of checkpoint_every, a
 //                checkpoint is written atomically and its cost noted in
@@ -28,6 +29,7 @@
 #include "data/answer_log.h"
 #include "data/validate.h"
 #include "shard/checkpoint.h"
+#include "streaming/incremental.h"
 #include "util/json_writer.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
@@ -58,10 +60,11 @@ struct ReplayCounts {
   int64_t skipped = 0;   // duplicates and records a repair policy skipped
 };
 
-template <typename Coordinator>
-typename Coordinator::Payload RecordPayload(
-    const data::AnswerLogRecord& record) {
-  if constexpr (std::is_same_v<typename Coordinator::Payload, double>) {
+// The answer a record carries: its label (Payload = data::LabelId) or its
+// value (Payload = double).
+template <typename Payload>
+Payload RecordPayload(const data::AnswerLogRecord& record) {
+  if constexpr (std::is_same_v<Payload, double>) {
     return record.value;
   } else {
     return record.label;
@@ -89,8 +92,9 @@ util::Status Resume(const util::JsonValue& checkpoint,
   if (!status.ok()) return status;
   for (int64_t i = 0; i < meta.next_sequence; ++i) {
     // Deterministic rejections are re-derived, not errors.
-    (void)coordinator->ReplayRouting(log[i].task, log[i].worker,
-                                     RecordPayload<Coordinator>(log[i]));
+    (void)coordinator->ReplayRouting(
+        log[i].task, log[i].worker,
+        RecordPayload<typename Coordinator::Payload>(log[i]));
   }
   return coordinator->FinishReplay();
 }
@@ -133,14 +137,14 @@ util::Status ReplayRange(const std::vector<data::AnswerLogRecord>& log,
                          Coordinator* coordinator, ReplayCounts* counts) {
   for (int64_t i = begin; i < end; ++i) {
     util::Status status = coordinator->Observe(
-        log[i].task, log[i].worker, RecordPayload<Coordinator>(log[i]));
+        log[i].task, log[i].worker,
+        RecordPayload<typename Coordinator::Payload>(log[i]));
     const bool accepted = status.ok();
     if (accepted) {
       ++counts->replayed;
     } else {
-      const bool duplicate =
-          status.message().find("duplicate") != std::string::npos;
-      if (!duplicate && options.policy == data::BadRecordPolicy::kReject) {
+      if (!streaming::IsDuplicateAnswer(status) &&
+          options.policy == data::BadRecordPolicy::kReject) {
         return status;
       }
       ++counts->skipped;

@@ -64,6 +64,11 @@ Status CheckDenseIndex(double value, int limit, const char* what) {
 
 }  // namespace
 
+bool IsDuplicateAnswer(const Status& status) {
+  return status.code() == util::StatusCode::kInvalidArgument &&
+         status.message().rfind(kDuplicateAnswerPrefix, 0) == 0;
+}
+
 IncrementalCategoricalMethod::IncrementalCategoricalMethod(
     int num_choices, StreamingOptions options)
     : options_(std::move(options)), num_choices_(num_choices) {}
@@ -82,7 +87,8 @@ Status IncrementalCategoricalMethod::Observe(
     for (const data::TaskVote& vote : by_task_[answer.task]) {
       if (vote.worker == answer.worker) {
         return Status::InvalidArgument(
-            "duplicate answer: worker " + std::to_string(answer.worker) +
+            std::string(kDuplicateAnswerPrefix) + " worker " +
+            std::to_string(answer.worker) +
             " already answered task " + std::to_string(answer.task));
       }
     }
@@ -254,7 +260,8 @@ Status IncrementalNumericMethod::Observe(const NumericAnswer& answer) {
     for (const data::NumericTaskVote& vote : by_task_[answer.task]) {
       if (vote.worker == answer.worker) {
         return Status::InvalidArgument(
-            "duplicate answer: worker " + std::to_string(answer.worker) +
+            std::string(kDuplicateAnswerPrefix) + " worker " +
+            std::to_string(answer.worker) +
             " already answered task " + std::to_string(answer.task));
       }
     }

@@ -60,6 +60,16 @@ struct StreamingOptions {
   core::InferenceOptions batch;
 };
 
+// Every rejection of an already-answered (task, worker) pair — by an
+// incremental method or by the shard coordinator's router — is an
+// InvalidArgument whose message starts with this prefix.
+inline constexpr char kDuplicateAnswerPrefix[] = "duplicate answer:";
+
+// True when `status` is such a duplicate rejection. Replays skip these
+// (a resumed replay re-reads answers it already holds) whatever their
+// bad-record policy says about other rejections.
+bool IsDuplicateAnswer(const util::Status& status);
+
 namespace internal {
 
 // Tops a sweep's dirty set up to `cap` tasks from the deferred backlog

@@ -10,10 +10,15 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "util/json_writer.h"
+
 namespace {
+
+using crowdtruth::util::JsonValue;
 
 // The binaries sit next to the test binaries' parent (build/tools/).
 std::string BinaryPath(const std::string& tool = "crowdtruth_infer") {
@@ -169,6 +174,236 @@ int ExitCode(const std::string& command) {
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
+JsonValue ReadJson(const std::string& path) {
+  JsonValue doc;
+  EXPECT_TRUE(crowdtruth::util::ParseJson(ReadFile(path), &doc).ok())
+      << path;
+  return doc;
+}
+
+std::vector<std::string> Keys(const JsonValue& object) {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : object.fields()) keys.push_back(key);
+  return keys;
+}
+
+const std::vector<std::string> kSingleReportKeys = {
+    "tool",          "mode",           "type",        "method",
+    "answers",       "num_tasks",      "num_workers", "resync_interval",
+    "resyncs",       "resync_seconds", "observe_latency"};
+const std::vector<std::string> kShardedReportKeys = {
+    "tool",        "mode",        "type",
+    "method",      "shards",      "answers",
+    "num_tasks",   "num_workers", "barrier_interval",
+    "barriers",    "checkpoint_every"};
+
+// One crowdtruth_stream replay of `log` with --truth and every output
+// flag; `args` picks the method and the single-engine or sharded path.
+struct StreamRun {
+  int code = -1;
+  std::string stdout_text;
+  std::string truth_csv;
+  std::string workers_csv;
+  JsonValue report;
+};
+
+StreamRun RunStreamWithOutputs(const std::string& name, const std::string& log,
+                               const std::string& truth,
+                               const std::string& args) {
+  const std::string out = TempPath(name + "_out.txt");
+  const std::string truth_out = TempPath(name + "_inferred.csv");
+  const std::string workers_out = TempPath(name + "_workers.csv");
+  const std::string json_out = TempPath(name + "_report.json");
+  StreamRun run;
+  run.code = RunTool("--log=" + log + " --truth=" + truth + " " + args +
+                         " --output=" + truth_out +
+                         " --workers_output=" + workers_out +
+                         " --json_out=" + json_out,
+                     out, "crowdtruth_stream");
+  run.stdout_text = ReadFile(out);
+  run.truth_csv = ReadFile(truth_out);
+  run.workers_csv = ReadFile(workers_out);
+  if (run.code == 0) run.report = ReadJson(json_out);
+  for (const std::string& path : {out, truth_out, workers_out, json_out}) {
+    std::remove(path.c_str());
+  }
+  return run;
+}
+
+// Characterisation of the numeric replay path: the single engine and the
+// sharded coordinator score MAE/RMSE over the labeled tasks (the unlabeled
+// task "e" and the unseen truth row "z" do not count) and write the same
+// bytes.
+TEST(CliTest, StreamNumericReplayScoresAndWritesOutputs) {
+  const std::string log = TempPath("cli_num_stream.log");
+  const std::string truth = TempPath("cli_num_stream_truth.csv");
+  WriteFile(log,
+            "crowdtruth_log,v1,numeric\n"
+            "a,w1,9.5\na,w2,11.25\na,w3,10\nb,w1,-5\nb,w2,-3.5\n"
+            "c,w3,2.75\nc,w1,3\nd,w2,7\nd,w3,8.5\nd,w1,6\nb,w3,-4\n"
+            "e,w2,1\n");
+  WriteFile(truth, "task,truth\na,10\nb,-4\nc,3\nd,7.5\nz,1\n");
+  const std::string args = "--method=Mean";
+  for (const bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "sharded" : "single engine");
+    const StreamRun run = RunStreamWithOutputs(
+        "cli_num_stream", log, truth,
+        sharded ? args + " --shards=2 --resync_interval=4" : args);
+    ASSERT_EQ(run.code, 0) << run.stdout_text;
+    EXPECT_EQ(run.truth_csv,
+              "task,truth\na,10.250000\nb,-4.166667\nc,2.875000\n"
+              "d,7.166667\ne,1.000000\n");
+    EXPECT_EQ(run.workers_csv,
+              "worker,quality\nw1,-0.811431\nw2,-0.606676\nw3,-0.686236\n");
+    EXPECT_NE(run.stdout_text.find("\nfinal: mae=0.219 rmse=0.233 "
+                                   "(4 labeled)\n"),
+              std::string::npos)
+        << run.stdout_text;
+    std::vector<std::string> keys =
+        sharded ? kShardedReportKeys : kSingleReportKeys;
+    keys.push_back("final");
+    EXPECT_EQ(Keys(run.report), keys);
+    EXPECT_EQ(run.report.Find("type")->string(), "numeric");
+    const JsonValue& final = *run.report.Find("final");
+    EXPECT_EQ(Keys(final),
+              (std::vector<std::string>{"labeled_tasks", "mae", "rmse"}));
+    EXPECT_EQ(final.Find("labeled_tasks")->number(), 4);
+    EXPECT_EQ(final.Find("mae")->number(), 0.21875);
+    EXPECT_EQ(final.Find("rmse")->number(), 0.23292374765622803);
+  }
+  std::remove(log.c_str());
+  std::remove(truth.c_str());
+}
+
+// A categorical log: 10 tasks, 4 workers, every worker answers every task,
+// about one answer in four wrong.
+std::string CategoricalLog() {
+  std::string text = "crowdtruth_log,v1,categorical,3\n";
+  unsigned state = 7;
+  for (int t = 0; t < 10; ++t) {
+    for (int w = 0; w < 4; ++w) {
+      state = (state * 1103515245u + 12345u) & 0x7fffffffu;
+      const int label = (state >> 16) % 4 != 0 ? t % 3 : (t + 1) % 3;
+      text += "t" + std::to_string(t) + ",w" + std::to_string(w) + "," +
+              std::to_string(label) + "\n";
+    }
+  }
+  return text;
+}
+
+// Characterisation of the categorical replay path: accuracy in the
+// `final:` line and in the report's final object, identical outputs for
+// the single engine and two shards.
+TEST(CliTest, StreamCategoricalReplayScoresAndWritesOutputs) {
+  const std::string log = TempPath("cli_cat_stream.log");
+  const std::string truth = TempPath("cli_cat_stream_truth.csv");
+  WriteFile(log, CategoricalLog());
+  std::string truth_text = "task,truth\n";
+  for (int t = 0; t < 10; ++t) {
+    truth_text += "t" + std::to_string(t) + "," + std::to_string(t % 3) + "\n";
+  }
+  WriteFile(truth, truth_text);
+  for (const bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "sharded" : "single engine");
+    const StreamRun run = RunStreamWithOutputs(
+        "cli_cat_stream", log, truth,
+        sharded ? "--method=ZC --shards=2 --resync_interval=10"
+                : "--method=ZC");
+    ASSERT_EQ(run.code, 0) << run.stdout_text;
+    EXPECT_EQ(run.truth_csv,
+              "task,truth\nt0,0\nt1,1\nt2,2\nt3,0\nt4,1\nt5,2\nt6,0\nt7,1\n"
+              "t8,2\nt9,1\n");
+    EXPECT_EQ(run.workers_csv,
+              "worker,quality\nw0,0.710361\nw1,0.882163\nw2,0.810877\n"
+              "w3,0.882163\n");
+    EXPECT_NE(run.stdout_text.find("\nfinal: accuracy=90.00% (10 labeled)\n"),
+              std::string::npos)
+        << run.stdout_text;
+    std::vector<std::string> keys =
+        sharded ? kShardedReportKeys : kSingleReportKeys;
+    keys.push_back("num_choices");
+    keys.push_back("final");
+    EXPECT_EQ(Keys(run.report), keys);
+    EXPECT_EQ(run.report.Find("num_choices")->number(), 3);
+    const JsonValue& final = *run.report.Find("final");
+    EXPECT_EQ(Keys(final),
+              (std::vector<std::string>{"labeled_tasks", "accuracy"}));
+    EXPECT_EQ(final.Find("labeled_tasks")->number(), 10);
+    EXPECT_EQ(final.Find("accuracy")->number(), 0.9);
+  }
+  std::remove(log.c_str());
+  std::remove(truth.c_str());
+}
+
+// crowdtruth_shard --mode=merge accepts only worker finals that a
+// deterministic replay of the log reproduces: the same layout and method,
+// the whole slice consumed, and every accepted answer present. Each
+// rejection exits 1.
+TEST(CliTest, ShardMergeRejectsWorkerFinalsThatDoNotMatchTheLog) {
+  const std::string log = TempPath("cli_merge.log");
+  WriteFile(log, CategoricalLog());
+  const std::string dir = TempPath("cli_merge_work");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string out = TempPath("cli_merge_out.txt");
+  const std::string common = "--log=" + log + " --shards=2 --workdir=" + dir;
+  const auto worker = [&](int index, const std::string& method) {
+    return RunTool(common + " --mode=worker --barrier_interval=0 "
+                            "--shard_index=" + std::to_string(index) +
+                       " --method=" + method,
+                   out, "crowdtruth_shard");
+  };
+  const auto merge = [&]() {
+    return ExitCode(BinaryPath("crowdtruth_shard") + " " + common +
+                    " --mode=merge --method=ZC > " + out + " 2>&1");
+  };
+  ASSERT_EQ(worker(0, "ZC"), 0) << ReadFile(out);
+  ASSERT_EQ(worker(1, "ZC"), 0) << ReadFile(out);
+  ASSERT_EQ(merge(), 0) << ReadFile(out);
+
+  const std::string final0 = dir + "/worker0_final.json";
+  const JsonValue good = ReadJson(final0);
+
+  // Stopped short of the end of the log.
+  JsonValue short_doc = good;
+  short_doc.Set("next_sequence", 39);
+  WriteFile(final0, short_doc.Dump(1));
+  EXPECT_EQ(merge(), 1) << ReadFile(out);
+  EXPECT_NE(ReadFile(out).find("did not finish its slice"), std::string::npos)
+      << ReadFile(out);
+
+  // One accepted answer missing from the engine snapshot; the task and
+  // worker tables are untouched, so only the answer count can tell.
+  JsonValue snapshot = good.Find("shards")->items()[0];
+  JsonValue method = *snapshot.Find("method");
+  const std::vector<JsonValue>& rows = method.Find("answers")->items();
+  JsonValue answers = JsonValue::Array();
+  for (size_t i = 0; i + 1 < rows.size(); ++i) answers.Append(rows[i]);
+  method.Set("answers", std::move(answers));
+  snapshot.Set("method", std::move(method));
+  JsonValue shards = JsonValue::Array();
+  shards.Append(std::move(snapshot));
+  JsonValue dropped = good;
+  dropped.Set("shards", std::move(shards));
+  WriteFile(final0, dropped.Dump(1));
+  EXPECT_EQ(merge(), 1) << ReadFile(out);
+  EXPECT_NE(ReadFile(out).find("answer count"), std::string::npos)
+      << ReadFile(out);
+
+  // Written with another --method than the merge runs.
+  WriteFile(final0, good.Dump(1));
+  ASSERT_EQ(merge(), 0) << ReadFile(out);
+  ASSERT_EQ(worker(1, "MV"), 0) << ReadFile(out);
+  EXPECT_EQ(merge(), 1) << ReadFile(out);
+  EXPECT_NE(ReadFile(out).find("different shard layout or method"),
+            std::string::npos)
+      << ReadFile(out);
+
+  std::filesystem::remove_all(dir);
+  std::remove(log.c_str());
+  std::remove(out.c_str());
+}
+
 // crowdtruth_matrix arms Buggify from the environment and from flag seeds
 // past 32 bits, and the armed seed keys the cell cache: another schedule
 // recomputes the cell, the same one reuses it.
@@ -197,6 +432,63 @@ TEST(CliTest, MatrixArmsBuggifyFromEnvironmentAndWideSeeds) {
   EXPECT_EQ(run("", "--buggify_seed=18446744073709551616"), 2);
   EXPECT_EQ(run("", "--buggify_seed=-1"), 2);
   std::filesystem::remove_all(dir);
+  std::remove(out.c_str());
+}
+
+// The matrix cell cache is keyed by the whole armed fault schedule: the
+// same seed with another fire probability recomputes the cell.
+TEST(CliTest, MatrixCacheTagCarriesBuggifyProbabilities) {
+  const std::string dir = TempPath("cli_matrix_fire");
+  std::filesystem::remove_all(dir);
+  const std::string out = TempPath("cli_matrix_fire_out.txt");
+  const auto expect_cells = [&](const std::string& args,
+                                const std::string& counts) {
+    ASSERT_EQ(ExitCode(BinaryPath("crowdtruth_matrix") + " --out=" + dir +
+                       " --scenarios=long_tail --methods=MV "
+                       "--policies=batch --buggify_seed=7 " +
+                       args + " > " + out + " 2>&1"),
+              0)
+        << ReadFile(out);
+    EXPECT_NE(ReadFile(out).find(counts), std::string::npos) << ReadFile(out);
+  };
+  expect_cells("--buggify_fire=25", "(1 computed, 0 cached)");
+  expect_cells("--buggify_fire=90", "(1 computed, 0 cached)");
+  expect_cells("--buggify_fire=90", "(0 computed, 1 cached)");
+  expect_cells("--buggify_fire=90 --buggify_activate=100",
+               "(1 computed, 0 cached)");
+  std::filesystem::remove_all(dir);
+  std::remove(out.c_str());
+}
+
+// Buggify percentages outside [0, 100] are usage errors (exit 2) in both
+// tools that take them as flags.
+TEST(CliTest, BuggifyPercentagesOutsideZeroToHundredAreUsageErrors) {
+  const std::string dir = TempPath("cli_buggify_range");
+  std::filesystem::remove_all(dir);
+  const std::string log = TempPath("cli_buggify_range.log");
+  WriteFile(log, "crowdtruth_log,v1,categorical,2\na,w1,0\n");
+  const std::string out = TempPath("cli_buggify_range_out.txt");
+  for (const std::string& percent :
+       {"--buggify_fire=101", "--buggify_fire=2.5e3",
+        "--buggify_activate=-1"}) {
+    SCOPED_TRACE(percent);
+    EXPECT_EQ(ExitCode(BinaryPath("crowdtruth_matrix") + " --out=" + dir +
+                       " --scenarios=long_tail --methods=MV "
+                       "--policies=batch --buggify_seed=7 " +
+                       percent + " > " + out + " 2>&1"),
+              2)
+        << ReadFile(out);
+    EXPECT_NE(ReadFile(out).find("[0, 100]"), std::string::npos)
+        << ReadFile(out);
+    EXPECT_EQ(ExitCode(BinaryPath("crowdtruth_shard") +
+                       " --mode=merge --log=" + log + " --workdir=" + dir +
+                       " --buggify_seed=7 " + percent + " > " + out +
+                       " 2>&1"),
+              2)
+        << ReadFile(out);
+  }
+  std::filesystem::remove_all(dir);
+  std::remove(log.c_str());
   std::remove(out.c_str());
 }
 

@@ -2,6 +2,7 @@
 // (same log, any shard count, kill-and-restart at any checkpoint -> the
 // same truth, bit for bit), checkpoint envelope versioning, deterministic
 // task partitioning, answer-log shard slices and worker-summary merging.
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -628,6 +629,80 @@ TEST(ShardReplayTest, DuplicatesSkipOtherRejectsFollowPolicy) {
   EXPECT_TRUE(replay(data::BadRecordPolicy::kDropRow, &repaired).ok());
   EXPECT_EQ(repaired.replayed, 2);
   EXPECT_EQ(repaired.skipped, 2);
+}
+
+// Only a real duplicate rejection is skipped under kReject: a non-finite
+// value for a task whose id happens to contain "duplicate" still fails.
+TEST(ShardReplayTest, TaskIdNamedDuplicateIsNotADuplicate) {
+  std::vector<data::AnswerLogRecord> log(3);
+  log[0].task = "a";
+  log[0].worker = "w0";
+  log[0].value = 1.0;
+  log[1].task = "a";
+  log[1].worker = "w0";
+  log[1].value = 2.0;
+  log[2].task = "duplicate answer: x";
+  log[2].worker = "w1";
+  log[2].value = std::nan("");
+  for (int64_t i = 0; i < 3; ++i) log[i].sequence = i;
+  CoordinatorConfig config = MakeConfig("Mean", 2, 0);
+  config.num_choices = 0;
+  std::unique_ptr<NumericShardCoordinator> coordinator;
+  ASSERT_TRUE(NumericShardCoordinator::Create(config, &coordinator).ok());
+  ReplayCounts counts;
+  const util::Status status = ReplayRange(log, 0, 3, ReplayOptions{},
+                                          coordinator.get(), &counts);
+  EXPECT_FALSE(status.ok());
+  EXPECT_FALSE(streaming::IsDuplicateAnswer(status)) << status.message();
+  EXPECT_EQ(counts.replayed, 1);
+  EXPECT_EQ(counts.skipped, 1);
+}
+
+// FinishReplay compares each shard's replayed answer count with the
+// answers its restored engine holds: a checkpoint missing one answer is
+// rejected even though its task and worker tables still match.
+TEST(ShardReplayTest, ResumeCatchesMissingAnswerInCheckpoint) {
+  const std::vector<data::AnswerLogRecord> log = ToLog(MakeStream(30, 5, 17));
+  std::unique_ptr<CategoricalShardCoordinator> writer;
+  ASSERT_TRUE(CategoricalShardCoordinator::Create(MakeConfig("ZC", 2, 0),
+                                                  &writer)
+                  .ok());
+  ReplayCounts counts;
+  ASSERT_TRUE(ReplayRange(log, 0, static_cast<int64_t>(log.size()),
+                          ReplayOptions{}, writer.get(), &counts)
+                  .ok());
+  util::JsonValue checkpoint = writer->MakeCheckpoint();
+  const auto resume = [&log](const util::JsonValue& doc) {
+    std::unique_ptr<CategoricalShardCoordinator> coordinator;
+    EXPECT_TRUE(CategoricalShardCoordinator::Create(MakeConfig("ZC", 2, 0),
+                                                    &coordinator)
+                    .ok());
+    return Resume(doc, log, coordinator.get());
+  };
+  ASSERT_TRUE(resume(checkpoint).ok());
+
+  // Drop shard 1's first answer from its method snapshot.
+  util::JsonValue shards = util::JsonValue::Array();
+  for (size_t s = 0; s < 2; ++s) {
+    util::JsonValue snapshot = checkpoint.Find("shards")->items()[s];
+    if (s == 1) {
+      util::JsonValue method = *snapshot.Find("method");
+      const std::vector<util::JsonValue>& rows =
+          method.Find("answers")->items();
+      util::JsonValue answers = util::JsonValue::Array();
+      for (size_t i = 1; i < rows.size(); ++i) answers.Append(rows[i]);
+      method.Set("answers", std::move(answers));
+      snapshot.Set("method", std::move(method));
+    }
+    shards.Append(std::move(snapshot));
+  }
+  checkpoint.Set("shards", std::move(shards));
+  const util::Status status = resume(checkpoint);
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("shard 1"), std::string::npos)
+      << status.message();
+  EXPECT_NE(status.message().find("answer counts differ"), std::string::npos)
+      << status.message();
 }
 
 // --- WorkerSummary -----------------------------------------------------

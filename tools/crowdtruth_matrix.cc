@@ -32,7 +32,6 @@
 // mismatch; 2 bad flags; 3 stopped early by --max_cells.
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <map>
@@ -49,16 +48,18 @@
 #include "shard/checkpoint.h"
 #include "shard/coordinator.h"
 #include "shard/replay.h"
-#include "util/csv.h"
 #include "util/flags.h"
 #include "util/json_writer.h"
 #include "util/status.h"
+
+#include "replay_cli.h"
 
 namespace {
 
 namespace data = crowdtruth::data;
 namespace scenario = crowdtruth::scenario;
 namespace shard = crowdtruth::shard;
+namespace tools = crowdtruth::tools;
 using crowdtruth::util::Flags;
 using crowdtruth::util::JsonValue;
 using crowdtruth::util::Status;
@@ -145,35 +146,35 @@ shard::ReplayOptions SkippingReplay() {
   return options;
 }
 
-// Fingerprint + accuracy from the coordinator's global solve. The
-// fingerprint hashes "task=label" lines in global intern order, so two
-// policies agree iff their final truth agrees task-for-task.
-void Summarize(const Coordinator& coordinator,
-               const Coordinator::BatchResult& global,
-               const std::map<std::string, int>& truth, CellResult* cell) {
+// Runs the global solve of a finished replay and fills the cell: counts,
+// accuracy and the fingerprint, which hashes "task=label" lines in global
+// intern order, so two policies agree iff their final truth agrees
+// task-for-task.
+Status Summarize(const shard::ReplayCounts& counts,
+                 const tools::TruthTable& truth, Coordinator* coordinator,
+                 CellResult* cell) {
+  Coordinator::BatchResult global;
+  const Status status = coordinator->GlobalResync(&global);
+  if (!status.ok()) return status;
+  const auto estimates = tools::NamedRowsOf(
+      coordinator->tasks(), coordinator->global_num_tasks(),
+      [&global](int gid) { return global.labels[gid]; });
   uint64_t hash = 1469598103934665603ull;
-  int graded = 0;
-  int correct = 0;
-  for (int gid = 0; gid < coordinator.global_num_tasks(); ++gid) {
-    const std::string& name = coordinator.tasks().Name(gid);
-    hash = Fnv1a(name + "=" + std::to_string(global.labels[gid]) + "\n",
-                 hash);
-    const auto it = truth.find(name);
-    if (it != truth.end()) {
-      ++graded;
-      if (it->second == global.labels[gid]) ++correct;
-    }
+  for (const auto& [name, label] : estimates) {
+    hash = Fnv1a(name + "=" + std::to_string(label) + "\n", hash);
   }
-  cell->answers = coordinator.answers_accepted();
-  cell->tasks = coordinator.global_num_tasks();
-  cell->workers = coordinator.global_num_workers();
-  cell->accuracy = graded > 0 ? static_cast<double>(correct) / graded : 0.0;
+  cell->answers = coordinator->answers_accepted();
+  cell->skipped = counts.skipped;
+  cell->tasks = coordinator->global_num_tasks();
+  cell->workers = coordinator->global_num_workers();
+  cell->accuracy = tools::ScoreEstimates(estimates, truth).accuracy;
   cell->fingerprint = HashHex(hash);
+  return Status::Ok();
 }
 
 Status RunDirect(const std::string& method, int num_choices,
                  int shard_count, int64_t barrier_interval, uint64_t seed,
-                 const Log& log, const std::map<std::string, int>& truth,
+                 const Log& log, const tools::TruthTable& truth,
                  CellResult* cell) {
   std::unique_ptr<Coordinator> coordinator;
   Status status = MakeCoordinator(method, num_choices, shard_count,
@@ -183,12 +184,7 @@ Status RunDirect(const std::string& method, int num_choices,
   status = shard::ReplayRange(log, 0, static_cast<int64_t>(log.size()),
                               SkippingReplay(), coordinator.get(), &counts);
   if (!status.ok()) return status;
-  cell->skipped = counts.skipped;
-  Coordinator::BatchResult global;
-  status = coordinator->GlobalResync(&global);
-  if (!status.ok()) return status;
-  Summarize(*coordinator, global, truth, cell);
-  return Status::Ok();
+  return Summarize(counts, truth, coordinator.get(), cell);
 }
 
 // The crash_restart policy: consume to the midpoint writing periodic
@@ -201,7 +197,7 @@ Status RunDirect(const std::string& method, int num_choices,
 Status RunCrashRestart(const std::string& method, int num_choices,
                        int64_t barrier_interval, uint64_t seed,
                        const Log& log,
-                       const std::map<std::string, int>& truth,
+                       const tools::TruthTable& truth,
                        const std::string& checkpoint_dir, CellResult* cell) {
   std::error_code fs_error;
   std::filesystem::remove_all(checkpoint_dir, fs_error);
@@ -240,27 +236,7 @@ Status RunCrashRestart(const std::string& method, int num_choices,
   status = shard::ReplayRange(log, coordinator->next_sequence(), total,
                               SkippingReplay(), coordinator.get(), &counts);
   if (!status.ok()) return status;
-  cell->skipped = counts.skipped;
-  Coordinator::BatchResult global;
-  status = coordinator->GlobalResync(&global);
-  if (!status.ok()) return status;
-  Summarize(*coordinator, global, truth, cell);
-  return Status::Ok();
-}
-
-Status ReadTruthCsv(const std::string& path,
-                    std::map<std::string, int>* truth) {
-  std::vector<std::vector<std::string>> rows;
-  Status status = crowdtruth::util::ReadCsvFile(path, &rows);
-  if (!status.ok()) return status;
-  for (size_t i = 1; i < rows.size(); ++i) {
-    if (rows[i].size() != 2) {
-      return Status::ParseError(path + ": truth row has " +
-                                std::to_string(rows[i].size()) + " fields");
-    }
-    (*truth)[rows[i][0]] = std::atoi(rows[i][1].c_str());
-  }
-  return Status::Ok();
+  return Summarize(counts, truth, coordinator.get(), cell);
 }
 
 JsonValue CellToJson(const std::string& scenario_name,
@@ -374,22 +350,21 @@ int main(int argc, char** argv) {
   }
 
   // Same buggify arming as crowdtruth_shard: flag beats environment. The
-  // armed seed joins the cache tag, so cells computed under one fault
-  // schedule are never reused under another.
-  std::optional<uint64_t> buggify_seed;
+  // armed seed and both probabilities join the cache tag, so cells
+  // computed under one fault schedule are never reused under another.
+  std::optional<scenario::BuggifyConfig> buggify;
   const Status armed = scenario::ArmBuggify(
       flags.Get("buggify_seed"), flags.GetDouble("buggify_activate"),
-      flags.GetDouble("buggify_fire"), &buggify_seed);
-  if (!armed.ok()) {
-    std::cerr << "error: " << armed.ToString() << '\n';
-    return 2;
-  }
+      flags.GetDouble("buggify_fire"), &buggify);
+  if (!armed.ok()) return tools::Fail(armed, 2);
   std::string buggify_tag = "-";
-  if (buggify_seed.has_value()) {
+  if (buggify.has_value()) {
     std::cout << "buggify: "
               << (scenario::kBuggifyCompiledIn ? "enabled" : "compiled out")
               << '\n';
-    buggify_tag = std::to_string(*buggify_seed);
+    buggify_tag = std::to_string(buggify->seed) + "/" +
+                  JsonValue(buggify->activate_probability).Dump() + "/" +
+                  JsonValue(buggify->fire_probability).Dump();
   }
 
   // Observability surfaces, armed per flag: the registry feeds
@@ -443,23 +418,14 @@ int main(int argc, char** argv) {
     scenario::ScenarioFileStats stats;
     Status status =
         scenario::WriteScenarioFiles(*generator, log_path, truth_path, &stats);
-    if (!status.ok()) {
-      std::cerr << "error: " << status.ToString() << '\n';
-      return 1;
-    }
+    if (!status.ok()) return tools::Fail(status);
     data::AnswerLogHeader header;
     Log log;
     status = data::ReadAnswerLog(log_path, &header, &log);
-    if (!status.ok()) {
-      std::cerr << "error: " << status.ToString() << '\n';
-      return 1;
-    }
-    std::map<std::string, int> truth;
-    status = ReadTruthCsv(truth_path, &truth);
-    if (!status.ok()) {
-      std::cerr << "error: " << status.ToString() << '\n';
-      return 1;
-    }
+    if (!status.ok()) return tools::Fail(status);
+    tools::TruthTable truth;
+    status = tools::ReadTruthCsv(truth_path, /*categorical=*/true, &truth);
+    if (!status.ok()) return tools::Fail(status);
 
     for (const std::string& method : methods) {
       for (const std::string& policy : policies) {
@@ -505,10 +471,7 @@ int main(int argc, char** argv) {
           status = shard::WriteJsonFileAtomic(
               cell_path,
               CellToJson(scenario_name, method, policy, config_hash, cell));
-          if (!status.ok()) {
-            std::cerr << "error: " << status.ToString() << '\n';
-            return 1;
-          }
+          if (!status.ok()) return tools::Fail(status);
           ++computed;
           std::cout << "cell " << cell_name << ": accuracy " << cell.accuracy
                     << ", fingerprint " << cell.fingerprint << "\n";
@@ -536,10 +499,7 @@ int main(int argc, char** argv) {
   summary.Set("consistent", consistent);
   const Status status =
       shard::WriteJsonFileAtomic(out_dir + "/matrix_summary.json", summary);
-  if (!status.ok()) {
-    std::cerr << "error: " << status.ToString() << '\n';
-    return 1;
-  }
+  if (!status.ok()) return tools::Fail(status);
   std::cout << "matrix: " << processed << " cells (" << computed
             << " computed, " << cached << " cached), "
             << (consistent ? "all policies consistent"

@@ -17,9 +17,9 @@
 // once the replay reaches global sequence S; restarting it with --resume
 // picks up the latest checkpoint and catches back up (its peers keep
 // polling at the barrier until it does). Merge mode then verifies every
-// worker's final state against a deterministic replay of its slice and
-// produces the global truth — bit-identical to a single-process replay of
-// the same log:
+// worker's final state against a deterministic replay of the log (the
+// shard::Resume restart check) and produces the global truth —
+// bit-identical to a single-process replay of the same log:
 //
 //   crowdtruth_shard --mode=merge --log=answers.log --shards=4
 //       --workdir=DIR --output=truth.csv [--workers_output=workers.csv]
@@ -51,13 +51,15 @@
 #include "shard/checkpoint.h"
 #include "shard/coordinator.h"
 #include "shard/metrics.h"
+#include "shard/replay.h"
 #include "streaming/engine.h"
 #include "streaming/registry.h"
 #include "streaming/worker_summary.h"
-#include "util/csv.h"
 #include "util/flags.h"
 #include "util/json_writer.h"
 #include "util/stopwatch.h"
+
+#include "replay_cli.h"
 
 namespace {
 
@@ -65,116 +67,25 @@ namespace data = crowdtruth::data;
 namespace scenario = crowdtruth::scenario;
 namespace shard = crowdtruth::shard;
 namespace streaming = crowdtruth::streaming;
+namespace tools = crowdtruth::tools;
 using crowdtruth::util::Flags;
 using crowdtruth::util::JsonValue;
 using crowdtruth::util::Status;
+using crowdtruth::util::StatusCode;
 
 constexpr int kCrashExitCode = 7;
 
-// flag > log header > max seen label + 1 (and at least 2) — the same
-// resolution crowdtruth_stream uses, so the two tools agree on the label
-// space of a given log.
-int ResolveNumChoices(const Flags& flags, const data::AnswerLogHeader& header,
-                      const std::vector<data::AnswerLogRecord>& records) {
-  int num_choices = flags.GetInt("num_choices") > 0
-                        ? flags.GetInt("num_choices")
-                        : header.num_choices;
-  if (num_choices <= 0) {
-    int max_label = 1;
-    for (const data::AnswerLogRecord& record : records) {
-      if (record.label > max_label) max_label = record.label;
-    }
-    num_choices = max_label + 1;
-  }
-  return num_choices < 2 ? 2 : num_choices;
-}
-
-streaming::StreamingOptions MakeStreamingOptions(const Flags& flags) {
-  streaming::StreamingOptions options;
-  options.local_sweeps = flags.GetInt("local_sweeps");
-  options.max_dirty_tasks = flags.GetInt("max_dirty_tasks");
-  options.batch.seed = flags.GetInt("seed");
-  options.batch.num_threads = flags.GetInt("threads");
-  return options;
-}
-
-Status WriteCsvPairs(
-    const std::string& path, const std::string& key_column,
-    const std::string& value_column,
-    const std::vector<std::pair<std::string, std::string>>& pairs) {
-  std::vector<std::vector<std::string>> rows;
-  rows.push_back({key_column, value_column});
-  for (const auto& [key, value] : pairs) rows.push_back({key, value});
-  return crowdtruth::util::WriteCsvFile(path, rows);
-}
-
+// Bad arguments exit 2, every other failure 1.
 int FailStatus(const Status& status) {
-  std::cerr << "error: " << status.ToString() << '\n';
-  return status.code() == crowdtruth::util::StatusCode::kInvalidArgument
-             ? 2
-             : 1;
+  return tools::Fail(
+      status, status.code() == StatusCode::kInvalidArgument ? 2 : 1);
 }
 
-// Emits merge mode's truth/worker CSVs and JSON report. The estimate rows
-// come straight from the coordinator's global solve, so they are
-// byte-identical to crowdtruth_stream's output over the same log.
-template <typename Coordinator>
-int FinishGlobal(const Flags& flags, Coordinator& coordinator,
-                 const typename Coordinator::BatchResult& global,
-                 int64_t skipped) {
-  constexpr bool kCategorical = std::is_same_v<
-      Coordinator, shard::CategoricalShardCoordinator>;
-  std::vector<std::pair<std::string, std::string>> estimates;
-  estimates.reserve(coordinator.global_num_tasks());
-  for (int gid = 0; gid < coordinator.global_num_tasks(); ++gid) {
-    if constexpr (kCategorical) {
-      estimates.emplace_back(coordinator.tasks().Name(gid),
-                             std::to_string(global.labels[gid]));
-    } else {
-      estimates.emplace_back(coordinator.tasks().Name(gid),
-                             std::to_string(global.values[gid]));
-    }
-  }
-  std::vector<std::pair<std::string, std::string>> workers;
-  workers.reserve(coordinator.global_num_workers());
-  for (int gid = 0; gid < coordinator.global_num_workers(); ++gid) {
-    workers.emplace_back(coordinator.workers().Name(gid),
-                         std::to_string(global.worker_quality[gid]));
-  }
-
-  Status status;
-  if (!flags.Get("output").empty()) {
-    status = WriteCsvPairs(flags.Get("output"), "task", "truth", estimates);
-    if (!status.ok()) return FailStatus(status);
-    std::cout << "wrote inferred truth to " << flags.Get("output") << '\n';
-  }
-  if (!flags.Get("workers_output").empty()) {
-    status = WriteCsvPairs(flags.Get("workers_output"), "worker", "quality",
-                           workers);
-    if (!status.ok()) return FailStatus(status);
-    std::cout << "wrote worker qualities to " << flags.Get("workers_output")
-              << '\n';
-  }
-  if (!flags.Get("json_out").empty()) {
-    JsonValue report = JsonValue::Object();
-    report.Set("tool", "crowdtruth_shard");
-    report.Set("mode", "merge");
-    report.Set("type", kCategorical ? "categorical" : "numeric");
-    report.Set("method", coordinator.config().method);
-    report.Set("shards", coordinator.shard_count());
-    report.Set("answers", coordinator.answers_accepted());
-    report.Set("skipped", skipped);
-    report.Set("num_tasks", coordinator.global_num_tasks());
-    report.Set("num_workers", coordinator.global_num_workers());
-    report.Set("barriers", coordinator.barriers_run());
-    if constexpr (kCategorical) {
-      report.Set("num_choices", coordinator.config().num_choices);
-    }
-    status = crowdtruth::util::WriteJsonFile(flags.Get("json_out"), report);
-    if (!status.ok()) return FailStatus(status);
-    std::cout << "wrote run summary to " << flags.Get("json_out") << '\n';
-  }
-  return 0;
+// A file that does not fit this run (another layout, an unfinished or
+// inconsistent worker) is a runtime failure, whatever its status code.
+int FailFile(const std::string& path, const Status& status) {
+  std::cerr << "error: " << path << ": " << status.message() << '\n';
+  return 1;
 }
 
 // --- Worker mode: one shard of a multi-process deployment -----------------
@@ -195,13 +106,13 @@ int RunWorker(const Flags& flags, int num_choices) {
     std::cerr << "error: --shard_index must be in [0, " << shards << ")\n";
     return 2;
   }
-  if (workdir.empty()) {
-    std::cerr << "error: worker mode requires --workdir\n";
-    return 2;
-  }
-  const std::string method_name = flags.Get("method").empty()
-                                      ? (kCategorical ? "ZC" : "Mean")
-                                      : flags.Get("method");
+  // Every document this worker writes carries this layout.
+  shard::CheckpointMeta layout;
+  layout.shard_count = shards;
+  layout.shard_index = index;
+  layout.method = tools::MethodName(flags, kCategorical);
+  layout.kind = Method::kKind;
+  layout.num_choices = num_choices;
 
   data::AnswerLogReader reader;
   Status status = reader.Open(flags.Get("log"));
@@ -212,13 +123,13 @@ int RunWorker(const Flags& flags, int num_choices) {
   std::unique_ptr<Method> method;
   if constexpr (kCategorical) {
     method = streaming::MakeIncrementalCategorical(
-        method_name, num_choices, MakeStreamingOptions(flags));
+        layout.method, num_choices, tools::MakeStreamingOptions(flags));
   } else {
-    method = streaming::MakeIncrementalNumeric(method_name,
-                                               MakeStreamingOptions(flags));
+    method = streaming::MakeIncrementalNumeric(
+        layout.method, tools::MakeStreamingOptions(flags));
   }
   if (method == nullptr) {
-    std::cerr << "error: no streaming implementation of \"" << method_name
+    std::cerr << "error: no streaming implementation of \"" << layout.method
               << "\"\n";
     return 2;
   }
@@ -255,20 +166,15 @@ int RunWorker(const Flags& flags, int num_choices) {
       const JsonValue* snapshots = nullptr;
       status = shard::ParseCheckpointDoc(doc, &meta, &snapshots);
       if (!status.ok()) return FailStatus(status);
-      if (meta.shard_count != shards || meta.shard_index != index ||
-          meta.kind != Method::kKind || meta.method != method_name ||
-          (kCategorical && meta.num_choices != num_choices)) {
-        std::cerr << "error: " << path
-                  << " was written by a different shard layout or method\n";
-        return 1;
-      }
+      status = shard::CheckCheckpointLayout(meta, layout);
+      if (!status.ok()) return FailFile(path, status);
       status = engine.Restore(snapshots->items()[0]);
       if (!status.ok()) return FailStatus(status);
       resumed_from = meta.next_sequence;
       if (metrics.restarts != nullptr) metrics.restarts->Increment();
       std::cout << "worker " << index << ": restored " << path
                 << " (sequence " << resumed_from << ")\n";
-    } else if (status.code() == crowdtruth::util::StatusCode::kNotFound) {
+    } else if (status.code() == StatusCode::kNotFound) {
       std::cout << "worker " << index
                 << ": no checkpoint, starting from the beginning\n";
     } else {
@@ -313,8 +219,7 @@ int RunWorker(const Flags& flags, int num_choices) {
             if (!barrier_status.ok()) return barrier_status;
             break;
           }
-          if (barrier_status.code() !=
-              crowdtruth::util::StatusCode::kNotFound) {
+          if (barrier_status.code() != StatusCode::kNotFound) {
             return barrier_status;
           }
           if (wait.ElapsedSeconds() > barrier_timeout) {
@@ -340,21 +245,21 @@ int RunWorker(const Flags& flags, int num_choices) {
     return engine.AdoptWorkerSummary(merged);
   };
 
-  const auto do_checkpoint = [&](int64_t position) -> Status {
-    crowdtruth::util::Stopwatch watch;
-    shard::CheckpointMeta meta;
-    meta.shard_count = shards;
-    meta.shard_index = index;
+  // The engine's state after `position` consumed records, as a worker
+  // document in the workdir.
+  const auto write_state = [&](const std::string& name, int64_t position) {
+    shard::CheckpointMeta meta = layout;
     meta.next_sequence = position;
-    meta.method = method_name;
-    meta.kind = Method::kKind;
-    meta.num_choices = kCategorical ? num_choices : 0;
     std::vector<JsonValue> snapshots;
     snapshots.push_back(engine.Snapshot());
-    Status checkpoint_status = shard::WriteJsonFileAtomic(
-        workdir + "/" +
-            shard::CheckpointFileName(worker_prefix, position),
+    return shard::WriteJsonFileAtomic(
+        workdir + "/" + name,
         shard::MakeCheckpointDoc(meta, std::move(snapshots)));
+  };
+  const auto do_checkpoint = [&](int64_t position) -> Status {
+    crowdtruth::util::Stopwatch watch;
+    Status checkpoint_status = write_state(
+        shard::CheckpointFileName(worker_prefix, position), position);
     if (!checkpoint_status.ok()) return checkpoint_status;
     if (metrics.checkpoints != nullptr) {
       metrics.checkpoints->Increment();
@@ -451,18 +356,7 @@ int RunWorker(const Flags& flags, int num_choices) {
   }
 
   if (engine.stats().answers > 0) engine.Resync();
-  shard::CheckpointMeta meta;
-  meta.shard_count = shards;
-  meta.shard_index = index;
-  meta.next_sequence = total;
-  meta.method = method_name;
-  meta.kind = Method::kKind;
-  meta.num_choices = kCategorical ? num_choices : 0;
-  std::vector<JsonValue> snapshots;
-  snapshots.push_back(engine.Snapshot());
-  status = shard::WriteJsonFileAtomic(
-      workdir + "/" + worker_prefix + "_final.json",
-      shard::MakeCheckpointDoc(meta, std::move(snapshots)));
+  status = write_state(worker_prefix + "_final.json", total);
   if (!status.ok()) return FailStatus(status);
 
   std::cout << "worker " << index << ": " << accepted << " answers ("
@@ -474,140 +368,107 @@ int RunWorker(const Flags& flags, int num_choices) {
 
 // --- Merge mode: verify the workers, solve the global dataset -------------
 
+// Every worker's final snapshot becomes one shard of a coordinator
+// checkpoint taken at the end of the log; shard::Resume then restores it
+// and replays the routing of the whole log, and FinishReplay verifies each
+// shard's task/worker order and answer count against that deterministic
+// replay. The global solve runs over the replayed routing state, so the
+// truth is byte-identical to crowdtruth_stream's over the same log.
 template <typename Coordinator>
 int RunMerge(const Flags& flags,
              const std::vector<data::AnswerLogRecord>& records,
              int num_choices) {
   constexpr bool kCategorical = std::is_same_v<
       Coordinator, shard::CategoricalShardCoordinator>;
-  using Method = typename std::conditional_t<
-      kCategorical, streaming::IncrementalCategoricalMethod,
-      streaming::IncrementalNumericMethod>;
-  const int shards = flags.GetInt("shards");
   const std::string workdir = flags.Get("workdir");
-  if (workdir.empty()) {
-    std::cerr << "error: merge mode requires --workdir\n";
-    return 2;
-  }
   shard::CoordinatorConfig config;
-  config.shard_count = shards;
-  config.method = flags.Get("method").empty()
-                      ? (kCategorical ? "ZC" : "Mean")
-                      : flags.Get("method");
+  config.shard_count = flags.GetInt("shards");
+  config.method = tools::MethodName(flags, kCategorical);
   config.num_choices = num_choices;
-  config.options = MakeStreamingOptions(flags);
+  config.options = tools::MakeStreamingOptions(flags);
   std::unique_ptr<Coordinator> coordinator;
   Status status = Coordinator::Create(config, &coordinator);
   if (!status.ok()) return FailStatus(status);
 
-  // Routing-only replay of the full log: rebuilds the global dataset and,
-  // per shard, the accepted task/worker order and answer count every
-  // honest worker must have ended up with.
-  std::vector<std::vector<std::string>> expected_tasks(shards);
-  std::vector<std::vector<std::string>> expected_workers(shards);
-  std::vector<std::unordered_set<std::string>> seen_tasks(shards);
-  std::vector<std::unordered_set<std::string>> seen_workers(shards);
-  std::vector<int64_t> expected_answers(shards, 0);
-  int64_t skipped = 0;
-  for (const data::AnswerLogRecord& record : records) {
-    if constexpr (kCategorical) {
-      status = coordinator->ReplayRouting(record.task, record.worker,
-                                          record.label);
-    } else {
-      status = coordinator->ReplayRouting(record.task, record.worker,
-                                          record.value);
-    }
-    if (!status.ok()) {
-      ++skipped;
-      continue;
-    }
-    const int owner = data::ShardOfTask(record.task, shards);
-    if (seen_tasks[owner].insert(record.task).second) {
-      expected_tasks[owner].push_back(record.task);
-    }
-    if (seen_workers[owner].insert(record.worker).second) {
-      expected_workers[owner].push_back(record.worker);
-    }
-    ++expected_answers[owner];
-  }
-
-  const int64_t total = static_cast<int64_t>(records.size());
-  for (int s = 0; s < shards; ++s) {
+  shard::CheckpointMeta layout;
+  layout.shard_count = config.shard_count;
+  layout.method = config.method;
+  layout.kind = kCategorical ? "categorical" : "numeric";
+  layout.num_choices = num_choices;
+  layout.next_sequence = static_cast<int64_t>(records.size());
+  std::vector<JsonValue> snapshots;
+  for (int s = 0; s < config.shard_count; ++s) {
     const std::string path =
         workdir + "/worker" + std::to_string(s) + "_final.json";
     JsonValue doc;
     status = shard::ReadJsonFile(path, &doc);
     if (!status.ok()) return FailStatus(status);
     shard::CheckpointMeta meta;
-    const JsonValue* snapshots = nullptr;
-    status = shard::ParseCheckpointDoc(doc, &meta, &snapshots);
+    const JsonValue* shard_snapshots = nullptr;
+    status = shard::ParseCheckpointDoc(doc, &meta, &shard_snapshots);
     if (!status.ok()) return FailStatus(status);
-    if (meta.shard_count != shards || meta.shard_index != s ||
-        meta.kind != Method::kKind || meta.method != config.method ||
-        (kCategorical && meta.num_choices != num_choices)) {
-      std::cerr << "error: " << path
-                << " was written by a different shard layout or method\n";
-      return 1;
-    }
-    if (meta.next_sequence != total) {
+    shard::CheckpointMeta expected = layout;
+    expected.shard_index = s;
+    status = shard::CheckCheckpointLayout(meta, expected);
+    if (!status.ok()) return FailFile(path, status);
+    if (meta.next_sequence != layout.next_sequence) {
       std::cerr << "error: " << path << " stopped at sequence "
-                << meta.next_sequence << " of " << total
+                << meta.next_sequence << " of " << layout.next_sequence
                 << " — the worker did not finish its slice\n";
       return 1;
     }
-    std::unique_ptr<Method> method;
-    if constexpr (kCategorical) {
-      method = streaming::MakeIncrementalCategorical(
-          config.method, num_choices, config.options);
-    } else {
-      method =
-          streaming::MakeIncrementalNumeric(config.method, config.options);
-    }
-    streaming::StreamEngine<Method> engine(std::move(method),
-                                           streaming::EngineConfig{});
-    status = engine.Restore(snapshots->items()[0]);
-    if (!status.ok()) return FailStatus(status);
-    const auto mismatch = [&](const std::string& what) {
-      std::cerr << "error: " << path << ": " << what
-                << " does not match a deterministic replay of slice " << s
-                << '\n';
-      return 1;
-    };
-    if (engine.tasks().size() !=
-            static_cast<int>(expected_tasks[s].size()) ||
-        engine.workers().size() !=
-            static_cast<int>(expected_workers[s].size())) {
-      return mismatch("task/worker count");
-    }
-    for (int lid = 0; lid < engine.tasks().size(); ++lid) {
-      if (engine.tasks().Name(lid) != expected_tasks[s][lid]) {
-        return mismatch("task order");
-      }
-    }
-    for (int lid = 0; lid < engine.workers().size(); ++lid) {
-      if (engine.workers().Name(lid) != expected_workers[s][lid]) {
-        return mismatch("worker order");
-      }
-    }
-    int64_t answers = 0;
-    for (int w = 0; w < engine.method().num_workers(); ++w) {
-      answers += engine.method().WorkerAnswerCount(w);
-    }
-    if (answers != expected_answers[s]) return mismatch("answer count");
+    snapshots.push_back(shard_snapshots->items()[0]);
+  }
+  status = shard::Resume(
+      shard::MakeCheckpointDoc(layout, std::move(snapshots)), records,
+      coordinator.get());
+  if (!status.ok()) {
+    std::cerr << "error: the worker finals in " << workdir
+              << " do not match a deterministic replay of the log: "
+              << status.message() << '\n';
+    return 1;
+  }
+  for (int s = 0; s < config.shard_count; ++s) {
+    const auto& engine = coordinator->engine(s);
     std::cout << "verified shard " << s << ": " << engine.tasks().size()
               << " tasks, " << engine.workers().size() << " workers, "
-              << answers << " answers\n";
+              << engine.method().num_answers() << " answers\n";
   }
 
   typename Coordinator::BatchResult global;
-  if (coordinator->answers_accepted() > 0) {
-    global = coordinator->Solve();
-  }
+  if (coordinator->answers_accepted() > 0) global = coordinator->Solve();
+  const int64_t skipped =
+      static_cast<int64_t>(records.size()) - coordinator->answers_accepted();
   std::cout << "merge: " << coordinator->answers_accepted() << " answers ("
             << skipped << " skipped), " << coordinator->global_num_tasks()
             << " tasks, " << coordinator->global_num_workers()
-            << " workers across " << shards << " shards\n";
-  return FinishGlobal(flags, *coordinator, global, skipped);
+            << " workers across " << config.shard_count << " shards\n";
+
+  const auto estimates = tools::NamedRowsOf(
+      coordinator->tasks(), coordinator->global_num_tasks(),
+      [&global](int gid) -> typename Coordinator::Payload {
+        if constexpr (kCategorical) {
+          return global.labels[gid];
+        } else {
+          return global.values[gid];
+        }
+      });
+  const auto workers = tools::NamedRowsOf(
+      coordinator->workers(), coordinator->global_num_workers(),
+      [&global](int gid) { return global.worker_quality[gid]; });
+  JsonValue report = JsonValue::Object();
+  report.Set("tool", "crowdtruth_shard");
+  report.Set("mode", "merge");
+  report.Set("type", layout.kind);
+  report.Set("method", config.method);
+  report.Set("shards", config.shard_count);
+  report.Set("answers", coordinator->answers_accepted());
+  report.Set("skipped", skipped);
+  report.Set("num_tasks", coordinator->global_num_tasks());
+  report.Set("num_workers", coordinator->global_num_workers());
+  report.Set("barriers", coordinator->barriers_run());
+  if constexpr (kCategorical) report.Set("num_choices", num_choices);
+  return tools::WriteOutputs(flags, estimates, workers, report);
 }
 
 // --mode=worker runs one shard over its slice; --mode=merge verifies the
@@ -644,7 +505,9 @@ int RunMode(const Flags& flags, const std::string& mode) {
   if (!status.ok()) return FailStatus(status);
   if (header.type == data::AnswerLogType::kCategorical) {
     return RunMerge<shard::CategoricalShardCoordinator>(
-        flags, records, ResolveNumChoices(flags, header, records));
+        flags, records,
+        tools::ResolveNumChoices(flags.GetInt("num_choices"), header,
+                                 records));
   }
   return RunMerge<shard::NumericShardCoordinator>(flags, records, 0);
 }
@@ -692,21 +555,22 @@ int main(int argc, char** argv) {
     std::cerr << "error: --shards must be >= 1\n";
     return 2;
   }
+  if (flags.Get("workdir").empty()) {
+    std::cerr << "error: " << mode << " mode requires --workdir\n";
+    return 2;
+  }
 
   // Fault injection: an explicit --buggify_seed wins over the environment
   // (CROWDTRUTH_BUGGIFY_SEED et al., see scenario/buggify.h). In a build
   // without -DCROWDTRUTH_BUGGIFY=ON the schedule is still armed — the
   // sites just compile to `false` — so runs report "compiled out" and the
   // fault log stays empty.
-  std::optional<uint64_t> buggify_seed;
+  std::optional<scenario::BuggifyConfig> buggify;
   const Status armed = scenario::ArmBuggify(
       flags.Get("buggify_seed"), flags.GetDouble("buggify_activate"),
-      flags.GetDouble("buggify_fire"), &buggify_seed);
-  if (!armed.ok()) {
-    std::cerr << "error: " << armed.ToString() << '\n';
-    return 2;
-  }
-  if (buggify_seed.has_value()) {
+      flags.GetDouble("buggify_fire"), &buggify);
+  if (!armed.ok()) return tools::Fail(armed, 2);
+  if (buggify.has_value()) {
     std::cout << "buggify: "
               << (scenario::kBuggifyCompiledIn ? "enabled" : "compiled out")
               << '\n';

@@ -77,7 +77,6 @@
 //
 // Streaming methods: MV, ZC, D&S (categorical); Mean, Median (numeric).
 // The log type (header line) selects the domain.
-#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
@@ -85,7 +84,6 @@
 #include <memory>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -109,14 +107,18 @@
 #include "util/stopwatch.h"
 #include "util/table_printer.h"
 
+#include "replay_cli.h"
+
 namespace {
 
 namespace data = crowdtruth::data;
 namespace sim = crowdtruth::sim;
 namespace streaming = crowdtruth::streaming;
+namespace tools = crowdtruth::tools;
 using crowdtruth::util::Flags;
 using crowdtruth::util::JsonValue;
 using crowdtruth::util::Status;
+using crowdtruth::util::StatusCode;
 using crowdtruth::util::TablePrinter;
 
 // The live metrics server, when --metrics_port enabled one. Pumped by the
@@ -145,46 +147,19 @@ int ReportInterrupted(int64_t replayed) {
 }
 
 // The stream: records keyed by string ids; `label` is used for categorical
-// streams, `value` for numeric ones.
+// streams, `value` for numeric ones. `policy` (--on-bad-record) says what
+// a rejected record does to the replay.
 struct StreamInput {
   data::AnswerLogType type = data::AnswerLogType::kCategorical;
   int num_choices = 0;
   std::vector<data::AnswerLogRecord> records;
-  std::unordered_map<std::string, data::LabelId> truth_labels;
-  std::unordered_map<std::string, double> truth_values;
-};
+  tools::TruthTable truth;
+  data::BadRecordPolicy policy = data::BadRecordPolicy::kReject;
 
-Status LoadTruthCsv(const std::string& path, StreamInput* input) {
-  std::vector<std::vector<std::string>> rows;
-  Status status = crowdtruth::util::ReadCsvFile(path, &rows);
-  if (!status.ok()) return status;
-  if (rows.empty() || rows[0] != std::vector<std::string>{"task", "truth"}) {
-    return Status::ParseError(path + ": expected header \"task,truth\"");
+  bool categorical() const {
+    return type == data::AnswerLogType::kCategorical;
   }
-  for (size_t i = 1; i < rows.size(); ++i) {
-    if (rows[i].size() != 2) {
-      return Status::ParseError(path + ": row has " +
-                                std::to_string(rows[i].size()) + " fields");
-    }
-    char* end = nullptr;
-    if (input->type == data::AnswerLogType::kCategorical) {
-      const long label = std::strtol(rows[i][1].c_str(), &end, 10);
-      if (end == rows[i][1].c_str() || *end != '\0' || label < 0) {
-        return Status::ParseError(path + ": bad truth \"" + rows[i][1] +
-                                  "\"");
-      }
-      input->truth_labels[rows[i][0]] = static_cast<data::LabelId>(label);
-    } else {
-      const double value = std::strtod(rows[i][1].c_str(), &end);
-      if (end == rows[i][1].c_str() || *end != '\0') {
-        return Status::ParseError(path + ": bad truth \"" + rows[i][1] +
-                                  "\"");
-      }
-      input->truth_values[rows[i][0]] = value;
-    }
-  }
-  return Status::Ok();
-}
+};
 
 Status LoadLogInput(const Flags& flags, StreamInput* input) {
   data::AnswerLogHeader header;
@@ -192,19 +167,13 @@ Status LoadLogInput(const Flags& flags, StreamInput* input) {
       data::ReadAnswerLog(flags.Get("log"), &header, &input->records);
   if (!status.ok()) return status;
   input->type = header.type;
-  int max_label = 1;
-  for (const data::AnswerLogRecord& record : input->records) {
-    if (record.label > max_label) max_label = record.label;
-  }
-  if (input->type == data::AnswerLogType::kCategorical) {
-    input->num_choices = flags.GetInt("num_choices") > 0
-                             ? flags.GetInt("num_choices")
-                             : header.num_choices;
-    if (input->num_choices <= 0) input->num_choices = max_label + 1;
-    if (input->num_choices < 2) input->num_choices = 2;
+  if (input->categorical()) {
+    input->num_choices = tools::ResolveNumChoices(flags.GetInt("num_choices"),
+                                                  header, input->records);
   }
   if (!flags.Get("truth").empty()) {
-    return LoadTruthCsv(flags.Get("truth"), input);
+    return tools::ReadTruthCsv(flags.Get("truth"), input->categorical(),
+                               &input->truth);
   }
   return Status::Ok();
 }
@@ -257,7 +226,7 @@ Status SimulateInput(const Flags& flags, StreamInput* input) {
   }
   for (data::TaskId t = 0; t < dataset.num_tasks(); ++t) {
     if (dataset.HasTruth(t)) {
-      input->truth_labels[std::to_string(t)] = dataset.Truth(t);
+      input->truth[std::to_string(t)] = dataset.Truth(t);
     }
   }
 
@@ -291,228 +260,43 @@ Status SimulateInput(const Flags& flags, StreamInput* input) {
   return Status::Ok();
 }
 
-// Accuracy of the current estimates over tasks with known truth.
+// Task estimates of one engine, in its intern order.
 template <typename Engine>
-double CategoricalAccuracy(const Engine& engine, const StreamInput& input,
-                           int* labeled) {
-  int correct = 0;
-  *labeled = 0;
-  const auto& method = engine.method();
-  for (int t = 0; t < method.num_tasks(); ++t) {
-    const auto it = input.truth_labels.find(engine.tasks().Name(t));
-    if (it == input.truth_labels.end()) continue;
-    ++*labeled;
-    if (method.Estimate(t) == it->second) ++correct;
-  }
-  return *labeled == 0 ? 0.0 : static_cast<double>(correct) / *labeled;
+auto EngineEstimates(const Engine& engine) {
+  return tools::NamedRowsOf(
+      engine.tasks(), engine.method().num_tasks(),
+      [&engine](int t) { return engine.method().Estimate(t); });
 }
 
-template <typename Engine>
-void NumericErrors(const Engine& engine, const StreamInput& input,
-                   int* labeled, double* mae, double* rmse) {
-  double abs_sum = 0.0;
-  double sq_sum = 0.0;
-  *labeled = 0;
-  const auto& method = engine.method();
-  for (int t = 0; t < method.num_tasks(); ++t) {
-    const auto it = input.truth_values.find(engine.tasks().Name(t));
-    if (it == input.truth_values.end()) continue;
-    ++*labeled;
-    const double err = method.Estimate(t) - it->second;
-    abs_sum += std::fabs(err);
-    sq_sum += err * err;
-  }
-  *mae = *labeled == 0 ? 0.0 : abs_sum / *labeled;
-  *rmse = *labeled == 0 ? 0.0 : std::sqrt(sq_sum / *labeled);
-}
-
-Status WriteCsvPairs(
-    const std::string& path, const std::string& value_column,
-    const std::vector<std::pair<std::string, std::string>>& pairs,
-    const std::string& key_column = "task") {
-  std::vector<std::vector<std::string>> rows;
-  rows.push_back({key_column, value_column});
-  for (const auto& [key, value] : pairs) rows.push_back({key, value});
-  return crowdtruth::util::WriteCsvFile(path, rows);
-}
-
-// Drives the replay for either engine flavour. `payload` extracts the
-// answer payload from a record; `quality_line` formats the rolling report.
-template <typename Engine, typename PayloadFn, typename QualityFn>
-int RunStream(const Flags& flags, const StreamInput& input, Engine& engine,
-              PayloadFn payload, QualityFn quality_line) {
-  crowdtruth::core::StreamTraceSink trace(std::cerr);
-  if (flags.GetBool("trace")) engine.set_trace(&trace);
-
-  if (!flags.Get("snapshot_in").empty()) {
-    JsonValue snapshot;
-    Status status =
-        crowdtruth::shard::ReadJsonFile(flags.Get("snapshot_in"), &snapshot);
-    if (!status.ok()) {
-      std::cerr << "error: " << flags.Get("snapshot_in") << ": "
-                << status.ToString() << '\n';
-      return 1;
-    }
-    status = engine.Restore(snapshot);
-    if (!status.ok()) {
-      std::cerr << "error: " << status.ToString() << '\n';
-      return 1;
-    }
-    std::cout << "restored snapshot: " << engine.stats().answers
-              << " answers already ingested\n";
-  }
-
-  crowdtruth::data::BadRecordPolicy policy;
-  {
-    const Status status = crowdtruth::data::ParseBadRecordPolicy(
-        flags.Get("on-bad-record"), &policy);
-    if (!status.ok()) {
-      std::cerr << "error: " << status.ToString() << '\n';
-      return 2;
-    }
-  }
-
-  const int report_interval = flags.GetInt("report_interval");
-  int64_t skipped = 0;
-  int64_t replayed = 0;
-  for (const data::AnswerLogRecord& record : input.records) {
-    if (g_interrupted) return ReportInterrupted(replayed);
-    const Status status =
-        engine.Observe(record.task, record.worker, payload(record));
-    if (!status.ok()) {
-      // A resumed replay re-reads answers the snapshot already contains.
-      if (status.message().find("duplicate") != std::string::npos) {
-        ++skipped;
-        continue;
-      }
-      // Repair policies skip any other bad record (out-of-range label,
-      // non-finite value) and keep streaming; reject fails the replay.
-      if (policy != crowdtruth::data::BadRecordPolicy::kReject) {
-        ++skipped;
-        continue;
-      }
-      std::cerr << "error: " << status.ToString() << '\n';
-      return 1;
-    }
-    ++replayed;
-    if (g_metrics_server != nullptr) g_metrics_server->RunOnce(0);
-    if (report_interval > 0 && replayed % report_interval == 0) {
-      std::cout << "[stream] answers=" << engine.stats().answers
-                << quality_line(engine) << " p50_observe="
-                << TablePrinter::Fixed(
-                       engine.stats().observe_latency.Quantile(0.5) * 1e6,
-                       1)
-                << "us resyncs=" << engine.stats().resyncs << '\n';
-    }
-  }
-  if (flags.GetBool("final_resync") && engine.stats().answers > 0) {
-    engine.Resync();
-  }
-
-  std::cout << "stream: " << engine.stats().answers << " answers ("
-            << replayed << " replayed, " << skipped << " skipped), "
-            << engine.method().num_tasks() << " tasks, "
-            << engine.method().num_workers() << " workers\n"
-            << "engine: " << engine.stats().resyncs << " resyncs, "
-            << TablePrinter::Fixed(engine.stats().resync_seconds, 3)
-            << "s resync time, mean observe "
-            << TablePrinter::Fixed(
-                   engine.stats().observe_latency.mean() * 1e6, 1)
-            << "us\n"
-            << "final:" << quality_line(engine) << '\n';
-
-  if (!flags.Get("snapshot_out").empty()) {
-    const Status status = crowdtruth::util::WriteJsonFile(
-        flags.Get("snapshot_out"), engine.Snapshot());
-    if (!status.ok()) {
-      std::cerr << "error: " << status.ToString() << '\n';
-      return 1;
-    }
-    std::cout << "wrote snapshot to " << flags.Get("snapshot_out") << '\n';
-  }
-  return 0;
-}
-
-template <typename Engine>
-JsonValue BaseReport(const Flags& flags, const StreamInput& input,
-                     const Engine& engine, const std::string& mode) {
+// The report fields every replay starts with.
+JsonValue ReportHead(const StreamInput& input, const std::string& mode,
+                     const std::string& method) {
   JsonValue report = JsonValue::Object();
   report.Set("tool", "crowdtruth_stream");
   report.Set("mode", mode);
-  report.Set("type", input.type == data::AnswerLogType::kCategorical
-                         ? "categorical"
-                         : "numeric");
-  report.Set("method", engine.method().name());
-  report.Set("answers", static_cast<int64_t>(engine.stats().answers));
-  report.Set("num_tasks", engine.method().num_tasks());
-  report.Set("num_workers", engine.method().num_workers());
-  report.Set("resync_interval", flags.GetInt("resync_interval"));
-  report.Set("resyncs", engine.stats().resyncs);
-  report.Set("resync_seconds", engine.stats().resync_seconds);
-  const crowdtruth::obs::TDigest& observe = engine.stats().observe_latency;
-  JsonValue latency = JsonValue::Object();
-  latency.Set("count", observe.count());
-  latency.Set("total_seconds", observe.sum());
-  latency.Set("mean_seconds", observe.mean());
-  latency.Set("p50_seconds", observe.Quantile(0.5));
-  latency.Set("p99_seconds", observe.Quantile(0.99));
-  latency.Set("max_seconds", observe.max());
-  report.Set("observe_latency", std::move(latency));
+  report.Set("type", input.categorical() ? "categorical" : "numeric");
+  report.Set("method", method);
   return report;
 }
 
-int FinishWithOutputs(const Flags& flags, JsonValue report,
-                      const std::vector<std::pair<std::string, std::string>>&
-                          estimates,
-                      const std::vector<std::pair<std::string, std::string>>&
-                          worker_rows) {
-  Status status;
-  if (!flags.Get("output").empty()) {
-    status = WriteCsvPairs(flags.Get("output"), "truth", estimates);
-    if (!status.ok()) {
-      std::cerr << "error: " << status.ToString() << '\n';
-      return 1;
+// Scores the final estimates, prints the `final:` line and completes the
+// report: num_choices (categorical logs), the score, and the fired Buggify
+// faults when fault injection is armed.
+template <typename Estimate>
+void FinishReport(const StreamInput& input,
+                  const tools::NamedRows<Estimate>& estimates,
+                  JsonValue* report) {
+  tools::Score score = tools::ScoreEstimates(estimates, input.truth);
+  std::cout << "final:" << score.line << '\n';
+  if (input.categorical()) report->Set("num_choices", input.num_choices);
+  report->Set("final", std::move(score.json));
+  if (crowdtruth::scenario::BuggifyEnabled()) {
+    JsonValue faults = JsonValue::Array();
+    for (const std::string& line : crowdtruth::scenario::BuggifyFaultLines()) {
+      faults.Append(line);
     }
-    std::cout << "wrote inferred truth to " << flags.Get("output") << '\n';
+    report->Set("buggify_faults", std::move(faults));
   }
-  if (!flags.Get("workers_output").empty()) {
-    status = WriteCsvPairs(flags.Get("workers_output"), "quality",
-                           worker_rows, "worker");
-    if (!status.ok()) {
-      std::cerr << "error: " << status.ToString() << '\n';
-      return 1;
-    }
-    std::cout << "wrote worker qualities to " << flags.Get("workers_output")
-              << '\n';
-  }
-  if (!flags.Get("json_out").empty()) {
-    if (crowdtruth::scenario::BuggifyEnabled()) {
-      JsonValue faults = JsonValue::Array();
-      for (const std::string& line :
-           crowdtruth::scenario::BuggifyFaultLines()) {
-        faults.Append(line);
-      }
-      report.Set("buggify_faults", std::move(faults));
-    }
-    status = crowdtruth::util::WriteJsonFile(flags.Get("json_out"), report);
-    if (!status.ok()) {
-      std::cerr << "error: " << status.ToString() << '\n';
-      return 1;
-    }
-    std::cout << "wrote run summary to " << flags.Get("json_out") << '\n';
-  }
-  return 0;
-}
-
-streaming::StreamingOptions MakeStreamingOptions(const Flags& flags) {
-  streaming::StreamingOptions options;
-  options.local_sweeps = flags.GetInt("local_sweeps");
-  options.max_dirty_tasks = flags.GetInt("max_dirty_tasks");
-  options.batch.seed = flags.GetInt("seed");
-  // Deterministic intra-method parallelism for the full Resync solves;
-  // results are bit-identical at any thread count.
-  options.batch.num_threads = flags.GetInt("threads");
-  return options;
 }
 
 // --serve_port: promote the just-replayed engine into tenant "default" of
@@ -521,7 +305,7 @@ streaming::StreamingOptions MakeStreamingOptions(const Flags& flags) {
 // takes over the resync/admission knobs. Serves until SIGINT/SIGTERM, or
 // for --serve_seconds when positive.
 int ServeAdopted(
-    const Flags& flags,
+    const Flags& flags, data::BadRecordPolicy policy,
     std::unique_ptr<streaming::CategoricalStreamEngine> engine) {
   namespace server = crowdtruth::server;
   server::ServerConfig config;
@@ -534,25 +318,14 @@ int ServeAdopted(
   config.tenant_defaults.seed = flags.GetInt("seed");
 
   server::TenantOptions options = config.tenant_defaults;
-  const Status policy_status = crowdtruth::data::ParseBadRecordPolicy(
-      flags.Get("on-bad-record"), &options.bad_record_policy);
-  if (!policy_status.ok()) {
-    std::cerr << "error: " << policy_status.ToString() << '\n';
-    return 2;
-  }
+  options.bad_record_policy = policy;
 
   server::StreamingServer serve(config, crowdtruth::obs::ProcessMetrics());
   Status status = serve.Start();
-  if (!status.ok()) {
-    std::cerr << "error: " << status.ToString() << '\n';
-    return 1;
-  }
+  if (!status.ok()) return tools::Fail(status);
   status = serve.AddTenant(
       server::Tenant::Adopt("default", options, std::move(engine)));
-  if (!status.ok()) {
-    std::cerr << "error: " << status.ToString() << '\n';
-    return 1;
-  }
+  if (!status.ok()) return tools::Fail(status);
   const int serve_seconds = flags.GetInt("serve_seconds");
   if (serve_seconds > 0) {
     serve.loop().AddTimer(static_cast<int64_t>(serve_seconds) * 1000, 0,
@@ -567,141 +340,147 @@ int ServeAdopted(
   return 0;
 }
 
-int RunCategorical(const Flags& flags, const StreamInput& input,
-                   const std::string& mode) {
-  std::string method_name = flags.Get("method");
-  if (method_name.empty()) method_name = "ZC";
-  auto method = streaming::MakeIncrementalCategorical(
-      method_name, input.num_choices, MakeStreamingOptions(flags));
-  if (method == nullptr) {
-    std::string names;
-    for (const std::string& name :
-         streaming::IncrementalCategoricalNames()) {
-      names += (names.empty() ? "" : ", ") + name;
-    }
-    std::cerr << "error: no streaming implementation of \"" << method_name
-              << "\" (categorical streaming methods: " << names << ")\n";
-    return 2;
-  }
-  streaming::EngineConfig config;
-  config.resync_interval = flags.GetInt("resync_interval");
-  auto engine_ptr = std::make_unique<streaming::CategoricalStreamEngine>(
-      std::move(method), config);
-  streaming::CategoricalStreamEngine& engine = *engine_ptr;
-
-  const auto quality_line = [&input](
-                                const streaming::CategoricalStreamEngine&
-                                    e) {
-    int labeled = 0;
-    const double accuracy = CategoricalAccuracy(e, input, &labeled);
-    if (labeled == 0) return std::string(" accuracy=n/a");
-    return " accuracy=" + TablePrinter::Percent(accuracy, 2) + " (" +
-           std::to_string(labeled) + " labeled)";
-  };
-  const int exit_code = RunStream(
-      flags, input, engine,
-      [](const data::AnswerLogRecord& record) { return record.label; },
-      quality_line);
-  if (exit_code != 0) return exit_code;
-
-  JsonValue report = BaseReport(flags, input, engine, mode);
-  report.Set("num_choices", input.num_choices);
-  int labeled = 0;
-  const double accuracy = CategoricalAccuracy(engine, input, &labeled);
-  JsonValue final = JsonValue::Object();
-  final.Set("labeled_tasks", labeled);
-  if (labeled > 0) final.Set("accuracy", accuracy);
-  report.Set("final", std::move(final));
-
-  std::vector<std::pair<std::string, std::string>> estimates;
-  const auto& method_ref = engine.method();
-  estimates.reserve(method_ref.num_tasks());
-  for (int t = 0; t < method_ref.num_tasks(); ++t) {
-    estimates.emplace_back(engine.tasks().Name(t),
-                           std::to_string(method_ref.Estimate(t)));
-  }
-  std::vector<std::pair<std::string, std::string>> workers;
-  workers.reserve(method_ref.num_workers());
-  for (int w = 0; w < method_ref.num_workers(); ++w) {
-    workers.emplace_back(engine.workers().Name(w),
-                         std::to_string(method_ref.WorkerQuality(w)));
-  }
-  const int outputs_code =
-      FinishWithOutputs(flags, std::move(report), estimates, workers);
-  if (outputs_code != 0) return outputs_code;
-  if (flags.GetInt("serve_port") >= 0) {
-    return ServeAdopted(flags, std::move(engine_ptr));
-  }
-  return 0;
-}
-
-int RunNumeric(const Flags& flags, const StreamInput& input,
-               const std::string& mode) {
-  if (flags.GetInt("serve_port") >= 0) {
+// Replays the stream through one engine of the log's domain (Method is the
+// categorical or the numeric incremental base).
+template <typename Method>
+int RunSingle(const Flags& flags, const StreamInput& input,
+              const std::string& mode) {
+  constexpr bool kCategorical =
+      std::is_same_v<Method, streaming::IncrementalCategoricalMethod>;
+  using Engine = streaming::StreamEngine<Method>;
+  using Payload = std::conditional_t<kCategorical, data::LabelId, double>;
+  if (!kCategorical && flags.GetInt("serve_port") >= 0) {
     std::cerr << "error: --serve_port supports categorical streams only\n";
     return 2;
   }
-  std::string method_name = flags.Get("method");
-  if (method_name.empty()) method_name = "Mean";
-  auto method = streaming::MakeIncrementalNumeric(method_name,
-                                                  MakeStreamingOptions(flags));
+  const std::string method_name = tools::MethodName(flags, kCategorical);
+  std::unique_ptr<Method> method;
+  std::vector<std::string> known;
+  if constexpr (kCategorical) {
+    method = streaming::MakeIncrementalCategorical(
+        method_name, input.num_choices, tools::MakeStreamingOptions(flags));
+    known = streaming::IncrementalCategoricalNames();
+  } else {
+    method = streaming::MakeIncrementalNumeric(
+        method_name, tools::MakeStreamingOptions(flags));
+    known = streaming::IncrementalNumericNames();
+  }
   if (method == nullptr) {
     std::string names;
-    for (const std::string& name : streaming::IncrementalNumericNames()) {
+    for (const std::string& name : known) {
       names += (names.empty() ? "" : ", ") + name;
     }
     std::cerr << "error: no streaming implementation of \"" << method_name
-              << "\" (numeric streaming methods: " << names << ")\n";
+              << "\" (" << Method::kKind << " streaming methods: " << names
+              << ")\n";
     return 2;
   }
   streaming::EngineConfig config;
   config.resync_interval = flags.GetInt("resync_interval");
-  streaming::NumericStreamEngine engine(std::move(method), config);
+  auto engine_ptr = std::make_unique<Engine>(std::move(method), config);
+  Engine& engine = *engine_ptr;
+  // Declared before any return path hands the engine on, so it outlives
+  // every resync that can still trace (the --serve_port phase included).
+  crowdtruth::core::StreamTraceSink trace(std::cerr);
+  if (flags.GetBool("trace")) engine.set_trace(&trace);
 
-  const auto quality_line =
-      [&input](const streaming::NumericStreamEngine& e) {
-        int labeled = 0;
-        double mae = 0.0;
-        double rmse = 0.0;
-        NumericErrors(e, input, &labeled, &mae, &rmse);
-        if (labeled == 0) return std::string(" mae=n/a");
-        return " mae=" + TablePrinter::Fixed(mae, 3) +
-               " rmse=" + TablePrinter::Fixed(rmse, 3) + " (" +
-               std::to_string(labeled) + " labeled)";
-      };
-  const int exit_code = RunStream(
-      flags, input, engine,
-      [](const data::AnswerLogRecord& record) { return record.value; },
-      quality_line);
-  if (exit_code != 0) return exit_code;
+  if (!flags.Get("snapshot_in").empty()) {
+    JsonValue snapshot;
+    Status status =
+        crowdtruth::shard::ReadJsonFile(flags.Get("snapshot_in"), &snapshot);
+    if (!status.ok()) {
+      std::cerr << "error: " << flags.Get("snapshot_in") << ": "
+                << status.ToString() << '\n';
+      return 1;
+    }
+    status = engine.Restore(snapshot);
+    if (!status.ok()) return tools::Fail(status);
+    std::cout << "restored snapshot: " << engine.stats().answers
+              << " answers already ingested\n";
+  }
 
-  JsonValue report = BaseReport(flags, input, engine, mode);
-  int labeled = 0;
-  double mae = 0.0;
-  double rmse = 0.0;
-  NumericErrors(engine, input, &labeled, &mae, &rmse);
-  JsonValue final = JsonValue::Object();
-  final.Set("labeled_tasks", labeled);
-  if (labeled > 0) {
-    final.Set("mae", mae);
-    final.Set("rmse", rmse);
+  const int report_interval = flags.GetInt("report_interval");
+  int64_t skipped = 0;
+  int64_t replayed = 0;
+  for (const data::AnswerLogRecord& record : input.records) {
+    if (g_interrupted) return ReportInterrupted(replayed);
+    const Status status = engine.Observe(
+        record.task, record.worker,
+        crowdtruth::shard::RecordPayload<Payload>(record));
+    if (!status.ok()) {
+      // A resumed replay re-reads answers the snapshot already contains;
+      // repair policies skip any other bad record (out-of-range label,
+      // non-finite value) and keep streaming; reject fails the replay.
+      if (!streaming::IsDuplicateAnswer(status) &&
+          input.policy == data::BadRecordPolicy::kReject) {
+        return tools::Fail(status);
+      }
+      ++skipped;
+      continue;
+    }
+    ++replayed;
+    if (g_metrics_server != nullptr) g_metrics_server->RunOnce(0);
+    if (report_interval > 0 && replayed % report_interval == 0) {
+      std::cout << "[stream] answers=" << engine.stats().answers
+                << tools::ScoreEstimates(EngineEstimates(engine), input.truth)
+                       .line
+                << " p50_observe="
+                << TablePrinter::Fixed(
+                       engine.stats().observe_latency.Quantile(0.5) * 1e6,
+                       1)
+                << "us resyncs=" << engine.stats().resyncs << '\n';
+    }
   }
-  report.Set("final", std::move(final));
+  if (flags.GetBool("final_resync") && engine.stats().answers > 0) {
+    engine.Resync();
+  }
 
-  std::vector<std::pair<std::string, std::string>> estimates;
-  const auto& method_ref = engine.method();
-  estimates.reserve(method_ref.num_tasks());
-  for (int t = 0; t < method_ref.num_tasks(); ++t) {
-    estimates.emplace_back(engine.tasks().Name(t),
-                           std::to_string(method_ref.Estimate(t)));
+  const streaming::EngineStats& stats = engine.stats();
+  std::cout << "stream: " << stats.answers << " answers (" << replayed
+            << " replayed, " << skipped << " skipped), "
+            << engine.method().num_tasks() << " tasks, "
+            << engine.method().num_workers() << " workers\n"
+            << "engine: " << stats.resyncs << " resyncs, "
+            << TablePrinter::Fixed(stats.resync_seconds, 3)
+            << "s resync time, mean observe "
+            << TablePrinter::Fixed(stats.observe_latency.mean() * 1e6, 1)
+            << "us\n";
+  JsonValue report = ReportHead(input, mode, engine.method().name());
+  report.Set("answers", static_cast<int64_t>(stats.answers));
+  report.Set("num_tasks", engine.method().num_tasks());
+  report.Set("num_workers", engine.method().num_workers());
+  report.Set("resync_interval", flags.GetInt("resync_interval"));
+  report.Set("resyncs", stats.resyncs);
+  report.Set("resync_seconds", stats.resync_seconds);
+  JsonValue latency = JsonValue::Object();
+  latency.Set("count", stats.observe_latency.count());
+  latency.Set("total_seconds", stats.observe_latency.sum());
+  latency.Set("mean_seconds", stats.observe_latency.mean());
+  latency.Set("p50_seconds", stats.observe_latency.Quantile(0.5));
+  latency.Set("p99_seconds", stats.observe_latency.Quantile(0.99));
+  latency.Set("max_seconds", stats.observe_latency.max());
+  report.Set("observe_latency", std::move(latency));
+  const auto estimates = EngineEstimates(engine);
+  FinishReport(input, estimates, &report);
+
+  if (!flags.Get("snapshot_out").empty()) {
+    const Status status = crowdtruth::util::WriteJsonFile(
+        flags.Get("snapshot_out"), engine.Snapshot());
+    if (!status.ok()) return tools::Fail(status);
+    std::cout << "wrote snapshot to " << flags.Get("snapshot_out") << '\n';
   }
-  std::vector<std::pair<std::string, std::string>> workers;
-  workers.reserve(method_ref.num_workers());
-  for (int w = 0; w < method_ref.num_workers(); ++w) {
-    workers.emplace_back(engine.workers().Name(w),
-                         std::to_string(method_ref.WorkerQuality(w)));
+  const int code = tools::WriteOutputs(
+      flags, estimates,
+      tools::NamedRowsOf(
+          engine.workers(), engine.method().num_workers(),
+          [&engine](int w) { return engine.method().WorkerQuality(w); }),
+      report);
+  if constexpr (kCategorical) {
+    if (code == 0 && flags.GetInt("serve_port") >= 0) {
+      return ServeAdopted(flags, input.policy, std::move(engine_ptr));
+    }
   }
-  return FinishWithOutputs(flags, std::move(report), estimates, workers);
+  return code;
 }
 
 // --shards / --checkpoint_every / --resume_from: drive the replay through
@@ -731,38 +510,25 @@ int RunSharded(const Flags& flags, const StreamInput& input,
     std::cerr << "error: --checkpoint_every requires --checkpoint_dir\n";
     return 2;
   }
-  Status status = crowdtruth::data::ParseBadRecordPolicy(
-      flags.Get("on-bad-record"), &replay.policy);
-  if (!status.ok()) {
-    std::cerr << "error: " << status.ToString() << '\n';
-    return 2;
-  }
+  replay.policy = input.policy;
 
-  std::string method_name = flags.Get("method");
-  if (method_name.empty()) method_name = kCategorical ? "ZC" : "Mean";
-
+  const std::string method_name = tools::MethodName(flags, kCategorical);
   shard::CoordinatorConfig config;
   config.shard_count = flags.GetInt("shards");
   config.method = method_name;
   config.num_choices = input.num_choices;
-  config.options = MakeStreamingOptions(flags);
+  config.options = tools::MakeStreamingOptions(flags);
   config.barrier_interval = flags.GetInt("resync_interval");
   std::unique_ptr<Coordinator> coordinator;
-  status = Coordinator::Create(config, &coordinator);
-  if (!status.ok()) {
-    std::cerr << "error: " << status.ToString() << '\n';
-    return 2;
-  }
+  Status status = Coordinator::Create(config, &coordinator);
+  if (!status.ok()) return tools::Fail(status, 2);
 
   const std::string resume_from = flags.Get("resume_from");
   if (!resume_from.empty()) {
     std::string restored;
     status = shard::ResumeFrom(resume_from, input.records, coordinator.get(),
                                &restored);
-    if (!status.ok()) {
-      std::cerr << "error: " << status.ToString() << '\n';
-      return 1;
-    }
+    if (!status.ok()) return tools::Fail(status);
     if (restored.empty()) {
       std::cout << "no checkpoint in " << resume_from
                 << ", starting from the beginning\n";
@@ -787,20 +553,14 @@ int RunSharded(const Flags& flags, const StreamInput& input,
   status = shard::ReplayRange(input.records, coordinator->next_sequence(),
                               static_cast<int64_t>(input.records.size()),
                               replay, coordinator.get(), &counts);
-  if (!status.ok()) {
-    std::cerr << "error: " << status.ToString() << '\n';
-    return 1;
-  }
+  if (!status.ok()) return tools::Fail(status);
   if (g_interrupted) return ReportInterrupted(counts.replayed);
 
   typename Coordinator::BatchResult global;
   const bool final_resync = flags.GetBool("final_resync");
   if (final_resync) {
     status = coordinator->GlobalResync(&global);
-    if (!status.ok()) {
-      std::cerr << "error: " << status.ToString() << '\n';
-      return 1;
-    }
+    if (!status.ok()) return tools::Fail(status);
   }
 
   std::cout << "stream: " << coordinator->answers_accepted() << " answers ("
@@ -813,60 +573,28 @@ int RunSharded(const Flags& flags, const StreamInput& input,
             << " barriers, final global resync "
             << (final_resync ? "done" : "skipped") << '\n';
 
-  std::vector<std::pair<std::string, std::string>> estimates;
-  estimates.reserve(coordinator->global_num_tasks());
-  int labeled = 0;
-  [[maybe_unused]] int correct = 0;
-  [[maybe_unused]] double abs_sum = 0.0;
-  [[maybe_unused]] double sq_sum = 0.0;
-  for (int gid = 0; gid < coordinator->global_num_tasks(); ++gid) {
-    const std::string name = coordinator->tasks().Name(gid);
-    if constexpr (kCategorical) {
-      data::LabelId label = 0;
-      if (final_resync) {
-        label = global.labels[gid];
-      } else if (coordinator->TaskOwner(gid) >= 0) {
+  const auto estimates = tools::NamedRowsOf(
+      coordinator->tasks(), coordinator->global_num_tasks(),
+      [&](int gid) -> typename Coordinator::Payload {
+        if (final_resync) {
+          if constexpr (kCategorical) {
+            return global.labels[gid];
+          } else {
+            return global.values[gid];
+          }
+        }
         // Without the global solve, serve the owning shard's (approximate,
         // globally informed) estimate.
-        label = coordinator->engine(coordinator->TaskOwner(gid))
-                    .method()
-                    .Estimate(coordinator->TaskLocal(gid));
-      }
-      const auto it = input.truth_labels.find(name);
-      if (it != input.truth_labels.end()) {
-        ++labeled;
-        if (label == it->second) ++correct;
-      }
-      estimates.emplace_back(name, std::to_string(label));
-    } else {
-      double value = 0.0;
-      if (final_resync) {
-        value = global.values[gid];
-      } else if (coordinator->TaskOwner(gid) >= 0) {
-        value = coordinator->engine(coordinator->TaskOwner(gid))
-                    .method()
-                    .Estimate(coordinator->TaskLocal(gid));
-      }
-      const auto it = input.truth_values.find(name);
-      if (it != input.truth_values.end()) {
-        ++labeled;
-        const double err = value - it->second;
-        abs_sum += std::fabs(err);
-        sq_sum += err * err;
-      }
-      estimates.emplace_back(name, std::to_string(value));
-    }
-  }
+        const int owner = coordinator->TaskOwner(gid);
+        if (owner < 0) return {};
+        return coordinator->engine(owner).method().Estimate(
+            coordinator->TaskLocal(gid));
+      });
 
-  std::vector<std::pair<std::string, std::string>> workers;
-  workers.reserve(coordinator->global_num_workers());
+  std::vector<double> quality(coordinator->global_num_workers(), 0.0);
   if (final_resync) {
-    for (int gid = 0; gid < coordinator->global_num_workers(); ++gid) {
-      workers.emplace_back(coordinator->workers().Name(gid),
-                           std::to_string(global.worker_quality[gid]));
-    }
+    quality = global.worker_quality;
   } else {
-    std::vector<double> quality(coordinator->global_num_workers(), 0.0);
     for (int s = 0; s < coordinator->shard_count(); ++s) {
       const auto& engine = coordinator->engine(s);
       for (int lid = 0; lid < engine.workers().size(); ++lid) {
@@ -877,17 +605,12 @@ int RunSharded(const Flags& flags, const StreamInput& input,
         }
       }
     }
-    for (int gid = 0; gid < coordinator->global_num_workers(); ++gid) {
-      workers.emplace_back(coordinator->workers().Name(gid),
-                           std::to_string(quality[gid]));
-    }
   }
+  const auto workers = tools::NamedRowsOf(
+      coordinator->workers(), coordinator->global_num_workers(),
+      [&quality](int gid) { return quality[gid]; });
 
-  JsonValue report = JsonValue::Object();
-  report.Set("tool", "crowdtruth_stream");
-  report.Set("mode", mode);
-  report.Set("type", kCategorical ? "categorical" : "numeric");
-  report.Set("method", method_name);
+  JsonValue report = ReportHead(input, mode, method_name);
   report.Set("shards", coordinator->shard_count());
   report.Set("answers", coordinator->answers_accepted());
   report.Set("num_tasks", coordinator->global_num_tasks());
@@ -896,38 +619,8 @@ int RunSharded(const Flags& flags, const StreamInput& input,
              static_cast<int64_t>(config.barrier_interval));
   report.Set("barriers", coordinator->barriers_run());
   report.Set("checkpoint_every", replay.checkpoint_every);
-  if constexpr (kCategorical) report.Set("num_choices", input.num_choices);
-  JsonValue final = JsonValue::Object();
-  final.Set("labeled_tasks", labeled);
-  if (labeled > 0) {
-    if constexpr (kCategorical) {
-      final.Set("accuracy", static_cast<double>(correct) / labeled);
-    } else {
-      final.Set("mae", abs_sum / labeled);
-      final.Set("rmse", std::sqrt(sq_sum / labeled));
-    }
-  }
-  report.Set("final", std::move(final));
-
-  if constexpr (kCategorical) {
-    std::cout << "final: accuracy="
-              << (labeled > 0
-                      ? TablePrinter::Percent(
-                            static_cast<double>(correct) / labeled, 2) +
-                            " (" + std::to_string(labeled) + " labeled)"
-                      : std::string("n/a"))
-              << '\n';
-  } else {
-    if (labeled > 0) {
-      std::cout << "final: mae=" << TablePrinter::Fixed(abs_sum / labeled, 3)
-                << " rmse="
-                << TablePrinter::Fixed(std::sqrt(sq_sum / labeled), 3)
-                << " (" << labeled << " labeled)\n";
-    } else {
-      std::cout << "final: mae=n/a\n";
-    }
-  }
-  return FinishWithOutputs(flags, std::move(report), estimates, workers);
+  FinishReport(input, estimates, &report);
+  return tools::WriteOutputs(flags, estimates, workers, report);
 }
 
 }  // namespace
@@ -985,13 +678,15 @@ int main(int argc, char** argv) {
               << '\n';
   }
   StreamInput input;
-  const Status status =
-      simulate ? SimulateInput(flags, &input) : LoadLogInput(flags, &input);
+  Status status = crowdtruth::data::ParseBadRecordPolicy(
+      flags.Get("on-bad-record"), &input.policy);
+  if (status.ok()) {
+    status =
+        simulate ? SimulateInput(flags, &input) : LoadLogInput(flags, &input);
+  }
   if (!status.ok()) {
-    std::cerr << "error: " << status.ToString() << '\n';
-    return status.code() == crowdtruth::util::StatusCode::kInvalidArgument
-               ? 2
-               : 1;
+    return tools::Fail(
+        status, status.code() == StatusCode::kInvalidArgument ? 2 : 1);
   }
 
   // Metrics: install the process-wide registry when any metrics surface is
@@ -1009,10 +704,7 @@ int main(int argc, char** argv) {
     metrics_server = std::make_unique<crowdtruth::server::StreamingServer>(
         config, &artifacts.registry());
     const Status started = metrics_server->Start();
-    if (!started.ok()) {
-      std::cerr << "error: " << started.ToString() << '\n';
-      return 1;
-    }
+    if (!started.ok()) return tools::Fail(started);
     g_metrics_server = metrics_server.get();
     // Flushed: with --metrics_port=0 a scraper reads the port from here,
     // and stdout is block-buffered when redirected.
@@ -1026,15 +718,17 @@ int main(int argc, char** argv) {
                        !flags.Get("resume_from").empty();
   int code;
   if (sharded) {
-    code = input.type == data::AnswerLogType::kCategorical
+    code = input.categorical()
                ? RunSharded<crowdtruth::shard::CategoricalShardCoordinator>(
                      flags, input, mode)
                : RunSharded<crowdtruth::shard::NumericShardCoordinator>(
                      flags, input, mode);
   } else {
-    code = input.type == data::AnswerLogType::kCategorical
-               ? RunCategorical(flags, input, mode)
-               : RunNumeric(flags, input, mode);
+    code = input.categorical()
+               ? RunSingle<streaming::IncrementalCategoricalMethod>(
+                     flags, input, mode)
+               : RunSingle<streaming::IncrementalNumericMethod>(flags, input,
+                                                                 mode);
   }
 
   const double linger = flags.GetDouble("metrics_linger");
